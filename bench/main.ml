@@ -23,7 +23,7 @@ let usage () =
      [--tracer] [--domains N,N,...] \
      [all|table5|table6|table7|prelim|derived|primitives|fig3|\
      ablation-chains|ablation-segcache|ablation-pervpage|ablation-ipc|\
-     ablation-dsm|macro|bechamel|parallel]";
+     ablation-dsm|macro|parallel]";
   exit 2
 
 (* The parallel sweep's domain counts (--domains).  Wall-clock and
@@ -45,7 +45,6 @@ let run = function
   | "ablation-ipc" -> Ablations.ablation_ipc ()
   | "ablation-dsm" -> Ablations.ablation_dsm ()
   | "macro" -> Macro.macro ()
-  | "bechamel" -> Bechamel_suite.benchmark ()
   | "parallel" -> Parallel.sweep ~domains_list:!domains_list ()
   | "all" ->
     Tables.prelim ();
@@ -60,8 +59,7 @@ let run = function
     Ablations.ablation_pervpage ();
     Ablations.ablation_ipc ();
     Ablations.ablation_dsm ();
-    Macro.macro ();
-    Bechamel_suite.benchmark ()
+    Macro.macro ()
   | _ -> usage ()
 
 let () =

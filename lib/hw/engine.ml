@@ -94,7 +94,7 @@ type t = {
   mutable accesses : (int * int * bool) list;
       (* slice footprint, reversed; the bool marks a write *)
   names : (int, string) Hashtbl.t;
-  classes : (int, int) Hashtbl.t; (* fibre -> affinity, non-zero only *)
+  classes : (int, int) Hashtbl.t; (* fibre -> non-zero affinity, pool only *)
   par : par option; (* None = the cooperative engine (the default) *)
   waiting : (int, wait_info) Hashtbl.t; (* parked fibres, by id *)
   hearts : (int, Sim_time.t) Hashtbl.t; (* last slice start, by fibre *)
@@ -354,11 +354,12 @@ let stall_diag eng fib wi =
    live continuations — but parked for the run loop to raise after the
    current slice completes. *)
 let note_park eng fib =
-  (match eng.watch with
+  match eng.watch with
   | Some w ->
     let label, owner =
       match eng.pending_wait with Some lo -> lo | None -> ("suspend", -1)
     in
+    eng.pending_wait <- None;
     Hashtbl.replace eng.waiting fib
       { wi_label = label; wi_owner = owner; wi_since = eng.now;
         wi_flagged = false };
@@ -368,10 +369,10 @@ let note_park eng fib =
       Obs.Flight.record_mark eng.flight ~code:1 ~arg:fib;
       if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
     | None -> ())
-  | None -> ());
-  eng.pending_wait <- None
+  | None -> ()
 
-let note_unpark eng fib = Hashtbl.remove eng.waiting fib
+let note_unpark eng fib =
+  if eng.watch <> None then Hashtbl.remove eng.waiting fib
 
 (* Between events: raise a parked deadlock alarm, and periodically
    sweep the waiting table for fibres blocked longer than the stall
@@ -434,10 +435,11 @@ let tie_key eng seq =
   | Fifo -> seq
   | Seeded seed -> Hashtbl.seeded_hash seed seq
 
-(* Route a freshly scheduled task.  [p_lock] held.  Serial-class tasks
-   go to the discrete-event heap the coordinator drains; an affinity
-   class goes to its lane, which becomes runnable when its head is the
-   only queued task and no worker is already inside the lane. *)
+(* Route a freshly scheduled task on a pool engine.  [p_lock] held.
+   Serial-class tasks go to the discrete-event heap the coordinator
+   drains; an affinity class goes to its lane, which becomes runnable
+   when its head is the only queued task and no worker is already
+   inside the lane. *)
 let enqueue eng p (t : task) =
   if t.cls = 0 then Pqueue.push eng.queue t
   else begin
@@ -457,34 +459,37 @@ let enqueue eng p (t : task) =
   end;
   Condition.signal p.p_idle
 
-let schedule eng ~daemon ~fib time run =
+(* The body [schedule] and [spawn] share: number the task, count it
+   live and queue it — straight into the heap without a pool, routed by
+   the fibre's class with one (the caller then holds [p_lock]). *)
+let push eng ~daemon ~fib time run =
+  let seq = eng.seq in
+  eng.seq <- seq + 1;
+  let key = tie_key eng seq in
+  if not daemon then eng.live_tasks <- eng.live_tasks + 1;
   match eng.par with
-  | None ->
-    let seq = eng.seq in
-    eng.seq <- seq + 1;
-    let key = tie_key eng seq in
-    if not daemon then eng.live_tasks <- eng.live_tasks + 1;
-    Pqueue.push eng.queue { time; seq; key; daemon; fib; cls = 0; run }
+  | None -> Pqueue.push eng.queue { time; seq; key; daemon; fib; cls = 0; run }
   | Some p ->
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    let seq = eng.seq in
-    eng.seq <- seq + 1;
-    let key = tie_key eng seq in
-    if not daemon then eng.live_tasks <- eng.live_tasks + 1;
     let cls =
       match Hashtbl.find_opt eng.classes fib with Some c -> c | None -> 0
     in
-    enqueue eng p { time; seq; key; daemon; fib; cls; run };
+    enqueue eng p { time; seq; key; daemon; fib; cls; run }
+
+let schedule eng ~daemon ~fib time run =
+  match eng.par with
+  | None -> push eng ~daemon ~fib time run
+  | Some p ->
+    Obs.Lockstat.lock p.p_stat p.p_lock;
+    push eng ~daemon ~fib time run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
 
 let sleep span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   (* Parallel slices coalesce charges into the slice clock; doing it
-     here rather than in the Sleep handler skips the effect round-trip
-     (and its continuation allocation) on the pool's hottest path.
-     [cur_ptask] is never set outside a pool worker, so the sequential
-     engine always performs — the handler's own parallel branch stays
-     for effects performed before the DLS fast path existed. *)
+     here rather than in a handler skips the effect round-trip (and
+     its continuation allocation) on the pool's hottest path.
+     [cur_ptask] is never set outside a pool worker, so the Sleep
+     handler only ever runs on the coordinator. *)
   match Domain.DLS.get cur_ptask with
   | Some pt -> pt.pt_clock <- pt.pt_clock + span
   | None -> Effect.perform (Sleep span)
@@ -511,14 +516,13 @@ let declare_wait_ambient ~on ?(owner = -1) () =
    installed for the whole fibre, so a continuation resumed later from
    the event queue still sees Sleep/Suspend.  Continuations of a
    daemon fibre schedule daemon tasks: the simulation ends when only
-   daemon work remains.  Handlers run at perform time, so [cur_fib] is
-   the performing fibre; continuations keep that id.
+   daemon work remains.  Handlers run at perform time, so the current
+   fibre is the performing one; continuations keep that id.
 
-   On the domain pool, Sleep coalesces into the slice's private clock
-   (no heap round-trip per charge) and Suspend parks against a real
-   [Atomic] flag so any domain may resume; both branches are selected
-   by the DLS slice marker at perform time, so one fibre can even
-   migrate between pool and coordinator across park/resume. *)
+   Suspend parks against an [Atomic] so any domain may resume, and
+   reads the clocks through the slice-aware accessors, so one fibre
+   may park on the pool and be woken by the coordinator or the other
+   way round. *)
 let exec eng ~daemon f =
   let finished () =
     if not daemon then
@@ -540,19 +544,10 @@ let exec eng ~daemon f =
           | Sleep span ->
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
-                match Domain.DLS.get cur_ptask with
-                | Some pt ->
-                  (* Parallel slice: charge virtual time locally and
-                     keep running — the scheduling point is not needed
-                     for fairness (real domains preempt) and skipping
-                     it is what makes the pool fast. *)
-                  pt.pt_clock <- pt.pt_clock + span;
-                  Effect.Deep.continue k ()
-                | None ->
-                  let fib = eng.cur_fib in
-                  eng.pending_wait <- None;
-                  schedule eng ~daemon ~fib (eng.now + span) (fun () ->
-                      Effect.Deep.continue k ()))
+                let fib = eng.cur_fib in
+                eng.pending_wait <- None;
+                schedule eng ~daemon ~fib (eng.now + span) (fun () ->
+                    Effect.Deep.continue k ()))
           | Ambient ->
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
@@ -560,189 +555,161 @@ let exec eng ~daemon f =
           | Suspend register ->
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
-                match Domain.DLS.get cur_ptask with
-                | Some pt ->
-                  let fib = pt.pt_fib in
-                  let resumed = Atomic.make false in
-                  register (fun () ->
-                      if Atomic.exchange resumed true then
-                        invalid_arg "Engine: resume called twice";
-                      (* Resume at the later of the parked fibre's own
-                         clock and the waker's, so virtual time stays
-                         monotone along every happens-before edge. *)
-                      let time =
-                        match Domain.DLS.get cur_ptask with
-                        | Some w -> max pt.pt_clock w.pt_clock
-                        | None -> max pt.pt_clock eng.now
-                      in
-                      schedule eng ~daemon ~fib time (fun () ->
-                          Effect.Deep.continue k ()))
-                | None ->
-                  let fib = eng.cur_fib in
-                  note_park eng fib;
-                  let resumed = ref false in
-                  register (fun () ->
-                      if !resumed then
-                        invalid_arg "Engine: resume called twice";
-                      resumed := true;
-                      note_unpark eng fib;
-                      schedule eng ~daemon ~fib eng.now (fun () ->
-                          Effect.Deep.continue k ())))
+                let fib = current_fibre eng in
+                note_park eng fib;
+                (* Holds the parked fibre's clock until the one
+                   permitted resume swaps in -1 (simulated time is
+                   never negative). *)
+                let parked = Atomic.make (now eng) in
+                register (fun () ->
+                    let t0 = Atomic.exchange parked (-1) in
+                    if t0 < 0 then invalid_arg "Engine: resume called twice";
+                    note_unpark eng fib;
+                    (* Resume at the later of the parked fibre's clock
+                       and the waker's, so virtual time stays monotone
+                       along every happens-before edge.  Without a pool
+                       the waker's clock is [eng.now], never behind. *)
+                    schedule eng ~daemon ~fib (max t0 (now eng)) (fun () ->
+                        Effect.Deep.continue k ())))
           | _ -> None);
     }
+
+(* [spawn]'s body; [p_lock] held on a pool engine. *)
+let add_fibre eng ~name ~daemon ~affinity run =
+  if not daemon then eng.live <- eng.live + 1;
+  let fib = eng.next_fib in
+  eng.next_fib <- fib + 1;
+  (match name with
+  | Some n ->
+    Hashtbl.replace eng.names fib n;
+    Obs.Trace.name_fibre eng.tracer fib n
+  | None -> ());
+  (* The sequential engine serialises everything and ignores affinity,
+     which is exactly what makes it the oracle twin of the pool. *)
+  if affinity <> 0 && eng.par <> None then
+    Hashtbl.replace eng.classes fib affinity;
+  push eng ~daemon ~fib (now eng) run
 
 let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   if affinity < 0 then invalid_arg "Engine.spawn: negative affinity";
   if affinity <> 0 && daemon then
     invalid_arg "Engine.spawn: daemon fibres must stay in the serial class";
+  (* Built before [p_lock] is taken: the body runs later, never under
+     the lock. *)
+  let run () = exec eng ~daemon f in
   match eng.par with
-  | None ->
-    (* The cooperative engine serialises everything; affinity is
-       advisory and ignored, which is exactly what makes it the oracle
-       twin of the parallel mode. *)
-    if not daemon then eng.live <- eng.live + 1;
-    let fib = eng.next_fib in
-    eng.next_fib <- fib + 1;
-    (match name with
-    | Some n ->
-      Hashtbl.replace eng.names fib n;
-      Obs.Trace.name_fibre eng.tracer fib n
-    | None -> ());
-    schedule eng ~daemon ~fib eng.now (fun () -> exec eng ~daemon f)
+  | None -> add_fibre eng ~name ~daemon ~affinity run
   | Some p ->
     Obs.Lockstat.lock p.p_stat p.p_lock;
-    if not daemon then eng.live <- eng.live + 1;
-    let fib = eng.next_fib in
-    eng.next_fib <- fib + 1;
-    (match name with
-    | Some n ->
-      Hashtbl.replace eng.names fib n;
-      Obs.Trace.name_fibre eng.tracer fib n
-    | None -> ());
-    if affinity <> 0 then Hashtbl.replace eng.classes fib affinity;
-    let time =
-      match Domain.DLS.get cur_ptask with
-      | Some pt -> pt.pt_clock
-      | None -> eng.now
-    in
-    let seq = eng.seq in
-    eng.seq <- seq + 1;
-    let key = tie_key eng seq in
-    if not daemon then eng.live_tasks <- eng.live_tasks + 1;
-    enqueue eng p
-      {
-        time;
-        seq;
-        key;
-        daemon;
-        fib;
-        cls = affinity;
-        run = (fun () -> exec eng ~daemon f);
-      };
+    add_fibre eng ~name ~daemon ~affinity run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
 
-(* The implicit pick among equal-time ready tasks, identical to the
-   heap order by construction: under Fifo the array is already in key
-   (= seq) order; under Seeded the argmin of the seeded hash with
-   strict comparison resolves hash ties by position, i.e. by seq —
-   exactly [cmp_task]. *)
-let pick_by_tie eng (arr : task array) =
-  match eng.tie with
-  | Fifo -> 0
-  | Seeded seed ->
-    let best = ref 0 in
-    for i = 1 to Array.length arr - 1 do
-      if
-        Hashtbl.seeded_hash seed arr.(i).seq
-        < Hashtbl.seeded_hash seed arr.(!best).seq
-      then best := i
-    done;
-    !best
+(* The dispatch choice point.  With neither a scheduler nor an enabled
+   flight recorder the heap order (time, key, seq) IS the policy and
+   the popped minimum runs.  Otherwise the full set of equal-time ready
+   tasks is drained: a scheduler picks among them, presented in [seq]
+   order; without one the popped minimum already is the tie policy's
+   pick.  Multi-way choices are logged to the flight recorder as
+   scheduling decisions.  A pool engine rejects both listeners, so it
+   always takes the first branch. *)
+let dispatch eng =
+  let task = Pqueue.pop eng.queue in
+  if eng.sched = None && not (Obs.Flight.enabled eng.flight) then task
+  else begin
+    let rec gather acc =
+      match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
+      | Some t -> gather (t :: acc)
+      | None -> acc
+    in
+    let ready = task :: gather [] in
+    let chosen =
+      match eng.sched with
+      | None -> task
+      | Some s ->
+        let by_seq (a : task) (b : task) = compare a.seq b.seq in
+        let arr = Array.of_list (List.sort by_seq ready) in
+        let rt t = { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon } in
+        let idx = s.sched_pick ~now:task.time (Array.map rt arr) in
+        if idx < 0 || idx >= Array.length arr then
+          invalid_arg "Engine: scheduler picked an out-of-range ready task";
+        arr.(idx)
+    in
+    let nready = List.length ready in
+    if nready > 1 then
+      Obs.Flight.record_choice eng.flight ~nready ~fib:chosen.fib;
+    List.iter (fun t -> if t != chosen then Pqueue.push eng.queue t) ready;
+    chosen
+  end
 
-let run_sequential eng main =
-  spawn eng main;
-  (* Run while non-daemon work remains — either queued tasks, or
-     suspended user fibres that a daemon (server loop, page-out
-     daemon) may still wake.  Once every user fibre has finished,
-     pending daemon wakeups are discarded: a periodic daemon would
-     otherwise keep the simulation alive forever. *)
-  (* Dispatch: with neither a scheduler nor a flight recorder
-     installed the heap order (time, key, seq) IS the policy and the
-     popped minimum runs — the historical fast path, byte-identical
-     schedules.  Otherwise every dispatch becomes an explicit choice
-     point: the full set of equal-time ready tasks is drained,
-     presented in [seq] order, and either the scheduler picks one or
-     the tie policy is applied explicitly (provably the same order as
-     the heap keys).  Multi-way choices are logged to the flight
-     recorder as scheduling decisions. *)
-  let dispatch () =
-    let task = Pqueue.pop eng.queue in
-    if eng.sched = None && not (Obs.Flight.enabled eng.flight) then task
-    else begin
-      let rec gather acc =
-        match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
-        | Some t -> gather (t :: acc)
-        | None -> acc
-      in
-      let arr =
-        Array.of_list
-          (List.sort
-             (fun (a : task) (b : task) -> compare a.seq b.seq)
-             (gather [ task ]))
-      in
-      let idx =
-        match eng.sched with
-        | None -> pick_by_tie eng arr
-        | Some s ->
-          let ready =
-            Array.map
-              (fun t ->
-                { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon })
-              arr
-          in
-          let idx = s.sched_pick ~now:task.time ready in
-          if idx < 0 || idx >= Array.length arr then
-            invalid_arg "Engine: scheduler picked an out-of-range ready task";
-          idx
-      in
-      if Array.length arr > 1 then
-        Obs.Flight.record_choice eng.flight ~nready:(Array.length arr)
-          ~fib:arr.(idx).fib;
-      Array.iteri (fun i t -> if i <> idx then Pqueue.push eng.queue t) arr;
-      arr.(idx)
-    end
-  in
-  let rec loop () =
-    if
-      eng.live_tasks > 0
-      || (eng.live > 0 && not (Pqueue.is_empty eng.queue))
-    then begin
-      let task = dispatch () in
-      assert (task.time >= eng.now);
-      eng.now <- task.time;
-      eng.cur_fib <- task.fib;
-      if eng.watch <> None then Hashtbl.replace eng.hearts task.fib task.time;
-      Obs.Flight.record_dispatch eng.flight ~fib:task.fib ~time:task.time;
-      if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-      if eng.sched = None && not (Obs.Flight.enabled eng.flight) then
-        task.run ()
-      else begin
-        eng.tracking <- true;
-        eng.accesses <- [];
-        Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run;
-        let accesses = eng.accesses in
-        eng.accesses <- [];
-        match eng.sched with
-        | Some s -> s.sched_step ~fib:task.fib ~accesses
-        | None -> ()
-      end;
-      eng.on_event ();
-      watchdog_check eng;
-      loop ()
-    end
-  in
-  loop ();
-  if eng.live > 0 then raise (Deadlock eng.live)
+(* What [next_task] returns once the run is over; compared physically,
+   so the dispatch path allocates no option. *)
+let no_task =
+  { time = Sim_time.zero; seq = -1; key = 0; daemon = true; fib = 0; cls = 0;
+    run = ignore }
+
+(* Run while non-daemon work remains — queued tasks, or suspended user
+   fibres that a daemon (server loop, page-out daemon) or a pool slice
+   may still wake.  Once every user fibre has finished, pending daemon
+   wakeups are discarded: a periodic daemon would otherwise keep the
+   simulation alive forever. *)
+let more eng ~pool_busy =
+  eng.live_tasks > 0
+  || (eng.live > 0 && (pool_busy || not (Pqueue.is_empty eng.queue)))
+
+(* Make [task] the running one: [p_lock] held on a pool engine. *)
+let claim eng task =
+  (* Without a pool time never runs backwards; a pool slice may wake a
+     serial fibre at its own virtual clock, behind the coordinator's. *)
+  assert (task.time >= eng.now || eng.par <> None);
+  if task.time > eng.now then eng.now <- task.time;
+  eng.cur_fib <- task.fib;
+  if eng.watch <> None then Hashtbl.replace eng.hearts task.fib task.time;
+  Obs.Flight.record_dispatch eng.flight ~fib:task.fib ~time:task.time;
+  if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
+  task
+
+(* The next serial task for the coordinator, or [no_task].  A pool
+   engine hands one out only while the pool is quiescent, so a serial
+   slice never observes a half-done parallel mutation: a program whose
+   fibres are all serial-class executes the identical schedule the
+   sequential engine would, at any domain count.  It stops early when
+   a slice has raised. *)
+let next_task eng =
+  match eng.par with
+  | None ->
+    if more eng ~pool_busy:false then claim eng (dispatch eng) else no_task
+  | Some p ->
+    let pool_busy () = p.p_running > 0 || not (Queue.is_empty p.runnable) in
+    Obs.Lockstat.lock p.p_stat p.p_lock;
+    Fun.protect
+      ~finally:(fun () -> Obs.Lockstat.unlock p.p_stat p.p_lock)
+      (fun () ->
+        let rec await () =
+          if p.p_exn <> None || not (more eng ~pool_busy:(pool_busy ())) then
+            no_task
+          else if pool_busy () || Pqueue.is_empty eng.queue then begin
+            Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock;
+            await ()
+          end
+          else claim eng (Pqueue.pop eng.queue)
+        in
+        await ())
+
+(* Run a claimed task.  With a scheduler or an enabled flight recorder
+   listening, the slice's footprint is tracked and handed to
+   [sched_step]. *)
+let run_slice eng task =
+  if eng.sched = None && not (Obs.Flight.enabled eng.flight) then task.run ()
+  else begin
+    eng.tracking <- true;
+    eng.accesses <- [];
+    Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run;
+    let accesses = eng.accesses in
+    eng.accesses <- [];
+    match eng.sched with
+    | Some s -> s.sched_step ~fib:task.fib ~accesses
+    | None -> ()
+  end
 
 (* A pool worker: pop a runnable lane, run its head task as a parallel
    slice, then hand the lane back.  Exceptions from fibre bodies are
@@ -828,88 +795,54 @@ let worker eng p =
   in
   go ()
 
-(* The parallel coordinator.  Serial-class tasks still run here, in
-   exact heap order — but only while the pool is quiescent, so a
-   serial slice never observes a half-done parallel mutation.  This is
-   the determinism contract: a program whose fibres are all
-   serial-class executes the identical schedule the sequential engine
-   would, at any domain count. *)
-let run_parallel eng p main =
-  if eng.sched <> None then
-    invalid_arg "Engine.run: schedulers require the sequential engine";
-  if Obs.Flight.enabled eng.flight then
-    invalid_arg "Engine.run: the flight recorder requires the sequential engine";
-  if eng.watch <> None then
-    invalid_arg "Engine.run: the watchdog requires the sequential engine";
-  (* Tracing in parallel mode records through per-domain shards; the
-     no-op is preserved because [set_sharded] ignores the null tracer
-     and every recording entry point still checks [enabled] first. *)
-  Obs.Trace.set_sharded eng.tracer true;
-  spawn eng main;
-  let workers =
-    Array.init p.p_domains (fun _ -> Domain.spawn (fun () -> worker eng p))
-  in
-  let stop_workers () =
+let stop_workers eng workers =
+  match eng.par with
+  | None -> ()
+  | Some p ->
     Obs.Lockstat.lock p.p_stat p.p_lock;
     p.p_stop <- true;
     Condition.broadcast p.p_work;
     Obs.Lockstat.unlock p.p_stat p.p_lock;
     Array.iter Domain.join workers
+
+(* The one run loop.  The sequential engine is the coordinator with no
+   pool: it skips the [p_lock], quiescence and worker steps.  A pool
+   engine additionally starts [p_domains] workers, records its trace
+   through per-domain shards (the null tracer ignores [set_sharded], so
+   disabled tracing stays a no-op), and ends at the pool's makespan if
+   that is later than the serial clock. *)
+let run eng main =
+  (match eng.par with
+  | None -> ()
+  | Some _ ->
+    if Obs.Flight.enabled eng.flight then
+      invalid_arg
+        "Engine.run: the flight recorder requires the sequential engine";
+    Obs.Trace.set_sharded eng.tracer true);
+  spawn eng main;
+  let workers =
+    match eng.par with
+    | None -> [||]
+    | Some p ->
+      Array.init p.p_domains (fun _ -> Domain.spawn (fun () -> worker eng p))
   in
-  let pool_busy () = p.p_running > 0 || not (Queue.is_empty p.runnable) in
   let rec loop () =
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    if p.p_exn <> None then Obs.Lockstat.unlock p.p_stat p.p_lock
-    else begin
-      let more =
-        eng.live_tasks > 0
-        || eng.live > 0
-           && ((not (Pqueue.is_empty eng.queue)) || pool_busy ())
-      in
-      if not more then Obs.Lockstat.unlock p.p_stat p.p_lock
-      else if Pqueue.is_empty eng.queue then begin
-        (* Only pool work in flight: wait for it to finish, park, or
-           schedule something serial. *)
-        Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock;
-        Obs.Lockstat.unlock p.p_stat p.p_lock;
-        loop ()
-      end
-      else begin
-        (* A serial task is due: barrier on pool quiescence first. *)
-        while pool_busy () && p.p_exn = None do
-          Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock
-        done;
-        if p.p_exn <> None then (
-          Obs.Lockstat.unlock p.p_stat p.p_lock;
-          loop ())
-        else begin
-          let task =
-            Fun.protect
-              ~finally:(fun () -> Obs.Lockstat.unlock p.p_stat p.p_lock)
-              (fun () ->
-                let task = Pqueue.pop eng.queue in
-                if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-                if task.time > eng.now then eng.now <- task.time;
-                eng.cur_fib <- task.fib;
-                task)
-          in
-          task.run ();
-          eng.on_event ();
-          loop ()
-        end
-      end
+    let task = next_task eng in
+    if task != no_task then begin
+      run_slice eng task;
+      eng.on_event ();
+      watchdog_check eng;
+      loop ()
     end
   in
-  (try loop () with ex -> stop_workers (); raise ex);
-  stop_workers ();
-  (match p.p_exn with Some ex -> raise ex | None -> ());
-  if p.p_horizon > eng.now then eng.now <- p.p_horizon;
+  (try loop () with ex -> stop_workers eng workers; raise ex);
+  stop_workers eng workers;
+  (match eng.par with
+  | Some p ->
+    (match p.p_exn with Some ex -> raise ex | None -> ());
+    if p.p_horizon > eng.now then eng.now <- p.p_horizon
+  | None -> ());
   if eng.live > 0 then raise (Deadlock eng.live)
-
-let run eng main =
-  match eng.par with
-  | None -> run_sequential eng main
-  | Some p -> run_parallel eng p main
 
 let run_fn eng f =
   let result = ref None in

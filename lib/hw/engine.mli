@@ -63,17 +63,18 @@ type scheduler = {
 val create : ?tie_break:tie_break -> ?domains:int -> unit -> t
 (** [create ()] is the cooperative single-domain engine — the default,
     and the reference semantics every checker (DPOR, sanitizer slow
-    mode, flight recorder, watchdog) is defined against.
+    mode, flight recorder, watchdog) is defined against.  It is the
+    coordinator of {!run}'s one loop with no worker pool.
 
-    [create ~domains:n ()] (n >= 1) adds a pool of [n] worker domains:
-    fibres spawned with a non-zero [affinity] execute there as
-    {e parallel slices}, while serial-class fibres (affinity 0, the
-    default) still run on the coordinator in exact heap order, and
-    only while the pool is quiescent.  Inside a parallel slice,
-    {!sleep} coalesces into a per-slice virtual clock instead of a
-    heap round-trip, and {!suspend}/{!Cond} use real mutexes so any
-    domain may resume a parked fibre.  [~domains:0] is the sequential
-    engine. *)
+    [create ~domains:n ()] (n >= 1) gives the same coordinator a pool
+    of [n] worker domains: fibres spawned with a non-zero [affinity]
+    execute there as {e parallel slices}, while serial-class fibres
+    (affinity 0, the default) still run on the coordinator in exact
+    heap order, and only while the pool is quiescent.  Inside a
+    parallel slice, {!sleep} coalesces into a per-slice virtual clock
+    instead of a heap round-trip, and {!suspend}/{!Cond} use real
+    mutexes so any domain may resume a parked fibre.  [~domains:0] is
+    the sequential engine. *)
 
 val domains : t -> int
 (** The worker-pool size this engine was created with; [0] for the
@@ -246,11 +247,14 @@ val last_stall : t -> string option
 (** Diagnostic for the most recent stall the watchdog counted. *)
 
 val set_event_hook : t -> (unit -> unit) -> unit
-(** Install a callback invoked after every completed engine event
-    (task execution) — between tasks, never inside fibre context, so
-    it must not perform effects.  Used by the sanitizer's slow mode to
-    sweep invariants after every scheduling step; defaults to a
-    no-op.  Exceptions raised by the hook propagate out of {!run}. *)
+(** Install a callback the coordinator invokes after every task it
+    runs — between tasks, never inside fibre context, so it must not
+    perform effects.  On the sequential engine that is every completed
+    engine event; on a parallel engine only serial-class tasks run on
+    the coordinator, so parallel slices never call it.  Used by the
+    sanitizer's slow mode to sweep invariants after every scheduling
+    step; defaults to a no-op.  Exceptions raised by the hook
+    propagate out of {!run}. *)
 
 val spawn :
   t -> ?name:string -> ?daemon:bool -> ?affinity:int -> (unit -> unit) -> unit
@@ -277,12 +281,25 @@ val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the current fibre. [register resume] is
     called immediately with a one-shot [resume] closure; invoking
     [resume] (from any fibre, or between events) schedules the parked
-    fibre at the then-current simulated time. *)
+    fibre at the later of its own clock and the caller's — on the
+    sequential engine always the then-current simulated time.
+    @raise Invalid_argument when [resume] is called twice. *)
 
 val run : t -> (unit -> unit) -> unit
-(** [run eng main] spawns [main] and processes events until the queue
-    is empty.  Exceptions raised by fibres propagate out of [run].
-    @raise Deadlock if fibres remain suspended at drain time. *)
+(** [run eng main] spawns [main] and processes events until no
+    non-daemon work remains.  There is one run loop: its coordinator
+    pops the next serial task in heap order (through the
+    {!scheduler} choice point when one is installed, recording to the
+    flight recorder when it is enabled), runs it, then calls the
+    event hook and the watchdog.  The sequential engine is this
+    coordinator with no pool; a parallel engine also starts its
+    workers, hands out a serial task only while the pool is
+    quiescent, and ends at the pool's makespan when that is later.
+    Exceptions raised by fibres, on the coordinator or on the pool,
+    propagate out of [run].
+    @raise Deadlock if fibres remain suspended at drain time.
+    @raise Invalid_argument on a parallel engine whose flight
+    recorder was enabled after {!set_flight}. *)
 
 val run_fn : t -> (unit -> 'a) -> 'a
 (** Like {!run} but returns the value produced by the main fibre. *)

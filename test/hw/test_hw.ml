@@ -63,6 +63,42 @@ let test_engine_ties_fifo () =
   Alcotest.(check (list int)) "same-time fibres run in spawn order"
     [ 3; 2; 1; 0 ] !log
 
+(* The flight recorder turns every dispatch into an explicit choice
+   point; with no scheduler the heap minimum must stay the pick, so
+   recording never changes the schedule, under either tie policy. *)
+let test_flight_transparent () =
+  let script tie_break ~record =
+    let engine = Hw.Engine.create ~tie_break () in
+    let fl = Obs.Flight.create () in
+    if record then Obs.Flight.enable fl;
+    Hw.Engine.set_flight engine fl;
+    let log = ref [] in
+    Hw.Engine.run engine (fun () ->
+        for i = 1 to 4 do
+          Hw.Engine.spawn engine (fun () ->
+              for step = 1 to 3 do
+                log := (i, step, Hw.Engine.now engine) :: !log;
+                Hw.Engine.sleep 5
+              done)
+        done);
+    (List.rev !log, Obs.Flight.decision_count fl)
+  in
+  List.iter
+    (fun (name, tie) ->
+      let plain, _ = script tie ~record:false in
+      let recorded, decisions = script tie ~record:true in
+      Alcotest.(check (list (triple int int int)))
+        (name ^ ": same schedule with the recorder on") plain recorded;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: decisions recorded (%d)" name decisions)
+        true (decisions > 0))
+    [
+      ("fifo", Hw.Engine.Fifo);
+      ("seed 1", Hw.Engine.Seeded 1);
+      ("seed 7", Hw.Engine.Seeded 7);
+      ("seed 1234", Hw.Engine.Seeded 1234);
+    ]
+
 let test_cond_broadcast () =
   let engine = Hw.Engine.create () in
   let woken = ref 0 in
@@ -317,7 +353,8 @@ let test_parallel_spawn_guards () =
 
 (* A serial-class-only program must run the exact sequential schedule
    on the parallel engine: the oracle-twin contract for every check
-   scenario. *)
+   scenario.  The last step parks every fibre on a Cond and wakes them
+   with one broadcast, so the shared Suspend handler is covered too. *)
 let test_parallel_class0_identical () =
   let script domains =
     let engine =
@@ -326,16 +363,23 @@ let test_parallel_class0_identical () =
     in
     let log = ref [] in
     Hw.Engine.run engine (fun () ->
+        let cond = Hw.Engine.Cond.create () in
         for i = 1 to 6 do
           Hw.Engine.spawn engine (fun () ->
               Hw.Engine.sleep ((i * 7) mod 3);
               log := (i, Hw.Engine.now engine) :: !log;
               Hw.Engine.sleep 4;
-              log := (-i, Hw.Engine.now engine) :: !log)
-        done);
+              log := (-i, Hw.Engine.now engine) :: !log;
+              Hw.Engine.Cond.wait cond;
+              log := (100 + i, Hw.Engine.now engine) :: !log)
+        done;
+        Hw.Engine.sleep 10;
+        Hw.Engine.Cond.broadcast cond);
     List.rev !log
   in
   let seq = script 0 in
+  Alcotest.(check int) "every fibre woke from the broadcast" 18
+    (List.length seq);
   Alcotest.(check bool) "1 domain = sequential" true (script 1 = seq);
   Alcotest.(check bool) "4 domains = sequential" true (script 4 = seq)
 
@@ -432,6 +476,8 @@ let () =
           Alcotest.test_case "time and order" `Quick test_engine_time_and_order;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "ties FIFO" `Quick test_engine_ties_fifo;
+          Alcotest.test_case "flight recorder transparent" `Quick
+            test_flight_transparent;
           Alcotest.test_case "cond broadcast" `Quick test_cond_broadcast;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "daemon tolerated" `Quick test_daemon_not_deadlock;
