@@ -30,7 +30,9 @@ let run_once ~domains scen =
       ()
   in
   let t0 = Unix.gettimeofday () in
-  let pvms = Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine) in
+  let pvms =
+    Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen)
+  in
   let wall = Unix.gettimeofday () -. t0 in
   let sim = Hw.Engine.now engine in
   let faults =

@@ -152,16 +152,16 @@ let inspect () =
       Format.printf "%a@.@.%a@." Core.Inspect.pp_state pvm
         Core.Inspect.pp_context ctx)
 
-(* Scenario bodies shared by the trace, stats and check subcommands:
-   the same workloads as the interactive commands above, but quiet,
-   and under the calibrated Sun-3/60 profile (the [create] default) so
-   spans carry durations and the per-primitive attribution is
-   populated.  Each returns the PVM instances involved, for reporting;
-   [register] is additionally called with each PVM as soon as it
-   exists, so the check subcommand's per-event sweep can watch
-   instances while the scenario is still running. *)
+(* Scenarios shared by the trace, stats, check, explore, replay and
+   crossval subcommands: the same workloads as the interactive
+   commands above, but quiet, and under the calibrated Sun-3/60
+   profile (the [create] default) so spans carry durations and the
+   per-primitive attribution is populated.  Each calls [register] with
+   every PVM as soon as it exists, so the check subcommand's per-event
+   sweep can watch instances while the scenario is still running, and
+   observes the concatenated Inspect digests. *)
 
-let scenario_fig3 ?(register = fun _ -> ()) engine =
+let scenario_fig3 engine ~register =
   let pvm = Core.Pvm.create ~frames:256 ~engine () in
   register pvm;
   let ctx = Core.Context.create pvm in
@@ -183,9 +183,9 @@ let scenario_fig3 ?(register = fun _ -> ()) engine =
   Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps 'X');
   copy cpy2;
   Core.Pvm.write pvm ctx ~addr:(1024 * ps) (Bytes.make ps 'c');
-  [ pvm ]
+  Check.Explore.observe_digests [ pvm ]
 
-let scenario_fork ?(register = fun _ -> ()) engine =
+let scenario_fork engine ~register =
   let site = Nucleus.Site.create ~frames:2048 ~engine () in
   register site.Nucleus.Site.pvm;
   let images = Mix.Image.create_store site in
@@ -204,9 +204,9 @@ let scenario_fork ?(register = fun _ -> ()) engine =
     Mix.Process.exit_ m child ~status:0;
     ignore (Mix.Process.wait m shell)
   done;
-  [ site.Nucleus.Site.pvm ]
+  Check.Explore.observe_digests [ site.Nucleus.Site.pvm ]
 
-let scenario_dsm ?(register = fun _ -> ()) engine =
+let scenario_dsm engine ~register =
   let seg =
     Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(4 * ps)
       ~page_size:ps ()
@@ -228,9 +228,9 @@ let scenario_dsm ?(register = fun _ -> ()) engine =
     Core.Pvm.write pvm ctx ~addr:0
       (Bytes.of_string (Printf.sprintf "round-%d" i))
   done;
-  [ fst a; fst b ]
+  Check.Explore.observe_digests [ fst a; fst b ]
 
-let scenario_ipc ?(register = fun _ -> ()) engine =
+let scenario_ipc engine ~register =
   let site = Nucleus.Site.create ~frames:256 ~engine () in
   register site.Nucleus.Site.pvm;
   let transit = Nucleus.Transit.create site ~slots:4 () in
@@ -250,7 +250,7 @@ let scenario_ipc ?(register = fun _ -> ()) engine =
     Nucleus.Ipc.send sender transit ~dst:endpoint ~addr:0 ~len:(4 * ps);
     ignore (Nucleus.Ipc.receive receiver transit endpoint ~addr:0)
   done;
-  [ site.Nucleus.Site.pvm ]
+  Check.Explore.observe_digests [ site.Nucleus.Site.pvm ]
 
 (* Several fibres hammering overlapping pages of one cache through a
    frame pool too small to hold them, over a swap store with real seek
@@ -258,7 +258,7 @@ let scenario_ipc ?(register = fun _ -> ()) engine =
    another fibre, which is exactly the §3.3.3 blocking discipline the
    harness perturbs and checks.  Written for the check subcommand but
    usable with trace/stats too. *)
-let scenario_contend ?(register = fun _ -> ()) engine =
+let scenario_contend engine ~register =
   let site =
     Nucleus.Site.create ~frames:6 ~swap_seek_time:(Hw.Sim_time.ms 4)
       ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
@@ -287,42 +287,37 @@ let scenario_contend ?(register = fun _ -> ()) engine =
           done
         done)
   done;
-  [ pvm ]
+  Check.Explore.observe_digests [ pvm ]
 
-(* [deterministic] marks scenarios whose observable outcome must not
-   depend on the schedule: single logical thread of control, so the
-   check subcommand compares stats across seeds byte-for-byte.
+(* [Schedule_independent] marks scenarios whose observable outcome must
+   not depend on the schedule: single logical thread of control, so
+   the check subcommand compares stats across seeds byte-for-byte.
    [contend] is excluded — its racing writers legitimately interleave
    differently per schedule, and only the safety properties (invariant
-   sweep, blocking discipline) are schedule-independent. *)
-(* The contended many-context fault workload shared with crossval and
+   sweep, blocking discipline) are schedule-independent.  [storm] is
+   the contended many-context fault workload shared with crossval and
    the throughput benchmark — the one scenario whose workers carry
    non-zero affinities, so with --domains it genuinely exercises the
    pool (the others are serial-class programs). *)
-let scenario_storm ?(register = fun _ -> ()) engine =
-  let pvms = (Check.Crossval.storm ()).Check.Crossval.run engine in
-  List.iter register pvms;
-  pvms
-
 let scenarios =
-  [
-    ("fig3", (scenario_fig3, true));
-    ("fork", (scenario_fork, true));
-    ("dsm", (scenario_dsm, true));
-    ("ipc", (scenario_ipc, true));
-    ("contend", (scenario_contend, false));
-    ("storm", (scenario_storm, true));
-  ]
+  let mk name run oracle = { Check.Explore.name; run; oracle } in
+  Check.Explore.
+    [
+      mk "fig3" scenario_fig3 Schedule_independent;
+      mk "fork" scenario_fork Schedule_independent;
+      mk "dsm" scenario_dsm Schedule_independent;
+      mk "ipc" scenario_ipc Schedule_independent;
+      mk "contend" scenario_contend No_oracle;
+      Check.Crossval.storm ();
+    ]
 
-let scenario_entry name =
-  match List.assoc_opt name scenarios with
-  | Some entry -> entry
+let find_scenario among name =
+  match List.find_opt (fun s -> s.Check.Explore.name = name) among with
+  | Some s -> s
   | None ->
     Printf.eprintf "chorus: unknown scenario '%s' (available: %s)\n" name
-      (String.concat ", " (List.map fst scenarios));
+      (String.concat ", " (List.map (fun s -> s.Check.Explore.name) among));
     exit 2
-
-let scenario_body name = fst (scenario_entry name)
 
 let write_file ~cmd file contents =
   try Out_channel.with_open_text file (fun oc -> output_string oc contents)
@@ -361,13 +356,15 @@ let trace scenario out flight_out domains =
        not produce)\n";
     exit 2
   end;
-  let body = scenario_body scenario in
+  let scen = find_scenario scenarios scenario in
   let tr = Obs.Trace.create () in
   let engine = Hw.Engine.create ?domains () in
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
   let fl = Option.map (fun _ -> attach_flight engine) flight_out in
-  let _pvms = Hw.Engine.run_fn engine (fun () -> body engine) in
+  let _pvms =
+    Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen)
+  in
   let json = Obs.Trace.to_chrome_json tr in
   (match out with
   | None -> print_endline json
@@ -394,12 +391,14 @@ let trace scenario out flight_out domains =
 
 let stats scenario json_out domains =
   let domains = check_domains ~cmd:"stats" domains in
-  let body = scenario_body scenario in
+  let scen = find_scenario scenarios scenario in
   let engine = Hw.Engine.create ?domains () in
   let tr = Obs.Trace.create () in
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
-  let pvms = Hw.Engine.run_fn engine (fun () -> body engine) in
+  let pvms =
+    Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen)
+  in
   (* Publish the trace ring's own accounting into every registry so
      the drop counter shows up in the text report and the JSON alike:
      a silently truncated trace must be visible in the stats. *)
@@ -619,8 +618,10 @@ let profile_decomp folded json_out flight_out =
 let profile scenario folded json_out flight_out =
   if String.equal scenario "decomp" then profile_decomp folded json_out flight_out
   else begin
-    let body = scenario_body scenario in
-    let pvms, prof = run_traced ?flight_out (fun engine -> body engine) in
+    let scen = find_scenario scenarios scenario in
+    let pvms, prof =
+      run_traced ?flight_out (fun engine -> Check.Explore.start engine scen)
+    in
     Format.printf "%a@." Obs.Profile.pp prof;
     let residencies = List.map Core.Inspect.residency pvms in
     let many = List.length residencies > 1 in
@@ -692,23 +693,16 @@ let content_digest engine pvms =
       Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let check scenario seeds every_event bundle_dir =
-  let body, deterministic = scenario_entry scenario in
+  let scen = find_scenario scenarios scenario in
+  let deterministic =
+    match scen.Check.Explore.oracle with
+    | Schedule_independent -> true
+    | Outcomes _ | No_oracle -> false
+  in
   let failures = ref 0 in
   let fail label fmt =
     incr failures;
     Format.eprintf ("%s: " ^^ fmt ^^ "@.") label
-  in
-  (* Exit discipline: 1 = a violation was found (and bundled), 2 = the
-     harness itself broke (also bundled, as kind "crash"). *)
-  let write_bundle ~kind ~detail ~engine ~pvms =
-    let bundle =
-      Check.Forensics.capture_live ~scenario ~kind ~detail ~engine ~pvms ()
-    in
-    let path = Obs.Bundle.write ~dir:bundle_dir bundle in
-    Printf.eprintf
-      "chorus check: wrote crash bundle %s (re-drive it with: chorus replay \
-       %s)\n"
-      path path
   in
   let run_one label tie =
     let engine = Hw.Engine.create ~tie_break:tie () in
@@ -717,62 +711,30 @@ let check scenario seeds every_event bundle_dir =
     Obs.Trace.enable tr;
     let _fl = attach_flight engine in
     Hw.Engine.enable_watchdog engine ();
-    let registered = ref [] in
-    let register pvm = registered := pvm :: !registered in
-    if every_event then
-      Hw.Engine.set_event_hook engine (fun () ->
-          (* fail fast — [Sanitizer.Failed] freezes the PVM exactly at
-             the first bad event, which is what the bundle wants *)
-          List.iter
-            (fun pvm -> Check.Sanitizer.assert_ok ~strict:false ~label pvm)
-            !registered);
-    let pvms =
-      try Hw.Engine.run_fn engine (fun () -> body ~register engine) with
-      | Check.Sanitizer.Failed detail ->
-        let pvms = List.rev !registered in
-        write_bundle ~kind:"invariant" ~detail ~engine ~pvms;
-        fail label "structural sweep failed mid-run:@,%s" detail;
-        Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-        exit 1
-      | Hw.Engine.Watchdog diag ->
-        let pvms = List.rev !registered in
-        write_bundle ~kind:"watchdog" ~detail:diag ~engine ~pvms;
-        fail label "watchdog: %s" diag;
-        Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-        exit 1
-      | Hw.Engine.Deadlock n ->
-        let pvms = List.rev !registered in
-        let detail =
-          Printf.sprintf "%d fibre(s) still suspended\n%s" n
-            (Hw.Engine.blocked_report engine)
-        in
-        write_bundle ~kind:"deadlock" ~detail ~engine ~pvms;
-        fail label "deadlock: %s" detail;
-        Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-        exit 1
-      | e ->
-        let pvms = List.rev !registered in
-        write_bundle ~kind:"crash" ~detail:(Printexc.to_string e) ~engine
-          ~pvms;
-        Printf.eprintf "chorus check %s: harness error: %s\n" scenario
-          (Printexc.to_string e);
-        exit 2
+    let outcome, pvms =
+      Check.Explore.execute ~every_event ~max_steps:max_int engine scen
     in
-    List.iteri
-      (fun i pvm ->
-        match Check.Sanitizer.run ~strict:true pvm with
-        | [] -> ()
-        | vs ->
-          write_bundle ~kind:"invariant"
-            ~detail:
-              (Format.asprintf "%a"
-                 (fun ppf () -> Check.Sanitizer.report ppf pvm vs)
-                 ())
-            ~engine ~pvms;
-          fail label "pvm %d failed the quiescent sweep:@,%a" i
-            (fun ppf -> Check.Sanitizer.report ppf pvm)
-            vs)
-      pvms;
+    (* Exit discipline: 1 = a violation was found (and bundled), 2 =
+       the harness itself broke (also bundled, as kind "crash"). *)
+    let kind = outcome.Check.Explore.o_kind in
+    if kind <> "done" then begin
+      let path =
+        Obs.Bundle.write ~dir:bundle_dir
+          (Check.Forensics.bundle ~scenario ~inject:[] engine pvms outcome)
+      in
+      Printf.eprintf
+        "chorus check: wrote crash bundle %s (re-drive it with: chorus \
+         replay %s)\n"
+        path path;
+      if kind = "crash" then begin
+        Printf.eprintf "chorus check %s: harness error: %s\n" scenario
+          outcome.o_detail;
+        exit 2
+      end;
+      fail label "%s:@,%s" kind outcome.o_detail;
+      Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
+      exit 1
+    end;
     List.iter
       (fun v -> fail label "%a" Check.Blocking.pp_violation v)
       (Check.Blocking.analyze tr);
@@ -785,7 +747,7 @@ let check scenario seeds every_event bundle_dir =
                (Hw.Phys_mem.used_frames (Core.Pvm.memory pvm)))
            pvms)
     in
-    let state_digest = String.concat "+" (List.map Core.Inspect.digest pvms) in
+    let state_digest = String.concat "+" outcome.o_digests in
     (* last: the read-back faults pages in and perturbs the state *)
     let contents = content_digest engine pvms in
     (stats_str, state_digest, contents)
@@ -872,13 +834,7 @@ let check_order_witnesses ~label =
    deterministic by construction. *)
 let crossval domains =
   Obs.Lockstat.enable_witnessing ();
-  let scens =
-    List.map
-      (fun (name, (body, _)) ->
-        { Check.Crossval.name; run = (fun engine -> body ?register:None engine) })
-      scenarios
-  in
-  let outcomes = List.map (Check.Crossval.run_pair ~domains) scens in
+  let outcomes = List.map (Check.Crossval.run_pair ~domains) scenarios in
   List.iter
     (fun o -> Format.printf "%a@." Check.Crossval.pp_outcome o)
     outcomes;
@@ -921,7 +877,7 @@ let bench domains workers pages rounds with_stats =
       Hw.Engine.create ?domains:(if d = 0 then None else Some d) ()
     in
     let pvms =
-      Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine)
+      Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen)
     in
     let faults =
       List.fold_left
@@ -988,127 +944,19 @@ let bench domains workers pages rounds with_stats =
   check_order_witnesses ~label:"chorus bench"
 
 (* chorus explore SCENARIO: systematic schedule exploration with the
-   Check.Explore DPOR model checker.  [contend] runs a Model program
-   through the full PVM under memory pressure and checks every
-   schedule's outcome against the sequential reference model's
+   Check.Explore DPOR model checker.  [contend] and [pressure] run
+   Model programs through the full PVM under memory pressure and check
+   every schedule's outcome against the sequential reference model's
    serializations; the other scenarios assert their observable
    Inspect digest is schedule-independent. *)
 
-let explore_prog ~workers ~rounds ~pages =
-  Array.init workers (fun f ->
-      Array.concat
-        (List.init rounds (fun r ->
-             let p = (f + r) mod pages in
-             [|
-               Check.Model.Write
-                 { addr = p * ps; data = String.make 16 (Char.chr (65 + f)) };
-               Check.Model.Read { addr = (p + 1) mod pages * ps; len = 8 };
-             |])))
-
-let explore_contend_pages = 3
-
-let explore_contend_prog =
-  explore_prog ~workers:3 ~rounds:2 ~pages:explore_contend_pages
-
-(* Two workers, three pages, two frames: every operation contends for
-   a frame, so schedules branch at frame allocation, eviction and
-   pullIn — the §3.3.3 window the explorer is for.  Both workers
-   write page 1 with different bytes: a genuine value race with
-   several legal serializations, so the oracle is the Model's outcome
-   set rather than a single digest. *)
-let explore_contend_scenario =
-  Check.Explore.of_program ~name:"contend-model"
-    ~setup:(fun engine ->
-      let site =
-        Nucleus.Site.create ~frames:3 ~swap_seek_time:(Hw.Sim_time.ms 4)
-          ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-      in
-      let pvm = site.Nucleus.Site.pvm in
-      let ctx = Core.Context.create pvm in
-      let cache = Core.Cache.create pvm () in
-      let size = explore_contend_pages * ps in
-      let _ =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-          cache ~offset:0
-      in
-      (pvm, ctx, size))
-    explore_contend_prog
-
-(* A smaller pressure shape for the forensics pipeline: two Model
-   workers over three pages and only two frames, so every operation
-   contends for a frame.  Under an armed [evict-claim-late] injection
-   this is the fixture that deterministically reproduces the blocking-
-   discipline race (the same shape the explorer regression tests
-   use), which makes it CI's forced-failure scenario. *)
-let explore_pressure_pages = 3
-
-let explore_pressure_prog =
-  explore_prog ~workers:2 ~rounds:2 ~pages:explore_pressure_pages
-
-let explore_pressure_scenario =
-  Check.Explore.of_program ~name:"pressure"
-    ~setup:(fun engine ->
-      let site =
-        Nucleus.Site.create ~frames:2 ~swap_seek_time:(Hw.Sim_time.ms 4)
-          ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-      in
-      let pvm = site.Nucleus.Site.pvm in
-      let ctx = Core.Context.create pvm in
-      let cache = Core.Cache.create pvm () in
-      let size = explore_pressure_pages * ps in
-      let _ =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-          cache ~offset:0
-      in
-      (pvm, ctx, size))
-    explore_pressure_prog
-
-(* A chorus scenario body lifted into the Explore/Forensics scenario
-   shape: run the body, observe the concatenated Inspect digests. *)
-let wrapped_scenario name =
-  let body = scenario_body name in
-  {
-    Check.Explore.name;
-    run =
-      (fun engine ~register ->
-        let pvms = body ~register engine in
-        fun () -> String.concat "+" (List.map Core.Inspect.digest pvms));
-  }
-
-let explore_scenario name =
-  if String.equal name "contend" then
-    ( explore_contend_scenario,
-      Check.Explore.Outcomes
-        (lazy
-          (Check.Model.outcomes
-             ~size:(explore_contend_pages * ps)
-             explore_contend_prog)) )
-  else if String.equal name "pressure" then
-    ( explore_pressure_scenario,
-      Check.Explore.Outcomes
-        (lazy
-          (Check.Model.outcomes
-             ~size:(explore_pressure_pages * ps)
-             explore_pressure_prog)) )
-  else
-    let _, deterministic = scenario_entry name in
-    ( wrapped_scenario name,
-      if deterministic then Check.Explore.Schedule_independent
-      else Check.Explore.No_oracle )
-
-(* Map a bundle's recorded scenario name back to the forced-replay
-   scenario that produced it.  Explore bundles carry the Model-program
-   names ("contend-model", "pressure"); check bundles carry the chorus
-   scenario name, whose body wraps identically under the forced
-   driver. *)
-let forced_scenario name =
-  if String.equal name "contend-model" then explore_contend_scenario
-  else if String.equal name "pressure" then explore_pressure_scenario
-  else wrapped_scenario name
+let explore_scenario = function
+  | "contend" -> Check.Explore.contend_model
+  | name -> find_scenario (Check.Explore.pressure :: scenarios) name
 
 let explore scenario bound max_schedules show_stats schedule_out inject
     bundle_dir =
-  let scen, oracle = explore_scenario scenario in
+  let scen = explore_scenario scenario in
   (match
      List.find_opt
        (fun n -> not (List.mem_assoc n Check.Forensics.injections))
@@ -1121,7 +969,7 @@ let explore scenario bound max_schedules show_stats schedule_out inject
     exit 2
   | None -> ());
   Check.Forensics.with_injections inject @@ fun () ->
-  let result = Check.Explore.run ?bound ?max_schedules ~oracle scen in
+  let result = Check.Explore.run ?bound ?max_schedules scen in
   let s = result.Check.Explore.r_stats in
   match result.Check.Explore.r_violation with
   | None ->
@@ -1144,14 +992,14 @@ let explore scenario bound max_schedules show_stats schedule_out inject
     Format.eprintf "chorus explore %s: FAILED@.%a@." scenario
       Check.Explore.pp_violation v;
     if show_stats then Format.eprintf "%a@." Check.Explore.pp_stats s;
-    (match Check.Explore.replay scen v.Check.Explore.v_schedule with
-    | `Violation (kind, _) ->
-      Format.eprintf "replay of the offending schedule reproduces: %s@." kind
-    | `Done _ | `Sleep ->
-      Format.eprintf "warning: replay did not reproduce the violation@.");
-    let bundle, _ =
+    let bundle, outcome =
       Check.Forensics.capture ~inject scen v.Check.Explore.v_schedule
     in
+    (match outcome.Check.Explore.o_kind with
+    | "done" | "sleep" ->
+      Format.eprintf "warning: replay did not reproduce the violation@."
+    | kind ->
+      Format.eprintf "replay of the offending schedule reproduces: %s@." kind);
     let path = Obs.Bundle.write ~dir:bundle_dir bundle in
     Printf.printf "wrote crash bundle %s (re-drive it with: chorus replay %s)\n"
       path path;
@@ -1185,7 +1033,11 @@ let replay_bundle path =
     Printf.eprintf "chorus replay: %s\n" msg;
     exit 2
   | Ok b ->
-    let scen = forced_scenario b.Obs.Bundle.scenario in
+    let scen =
+      find_scenario
+        (Check.Explore.contend_model :: Check.Explore.pressure :: scenarios)
+        b.Obs.Bundle.scenario
+    in
     Printf.printf "replaying %s:\n  scenario %s, %d decisions%s, recorded \
                    failure %s at t=%s\n"
       path b.Obs.Bundle.scenario
@@ -1201,8 +1053,8 @@ let replay_bundle path =
       | Some i -> String.sub s 0 i ^ " ..."
       | None -> s
     in
-    Printf.printf "replay outcome: %s — %s\n" outcome.Check.Forensics.o_kind
-      (first_line outcome.Check.Forensics.o_detail);
+    Printf.printf "replay outcome: %s — %s\n" outcome.Check.Explore.o_kind
+      (first_line outcome.Check.Explore.o_detail);
     (match Check.Forensics.reproduces b outcome with
     | Ok () ->
       Printf.printf

@@ -5,11 +5,6 @@
    Nothing is shared between the two runs, so a mismatch can only come
    from the engines executing the same program differently. *)
 
-type scenario = {
-  name : string;
-  run : Hw.Engine.t -> Core.Types.pvm list;
-}
-
 type outcome = {
   o_name : string;
   o_seq : string;
@@ -24,13 +19,13 @@ type outcome = {
    exercises every parallel seam while the final state stays a pure
    function of the parameters. *)
 let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) ?shards () =
-  let name = "storm" in
-  let run engine =
+  let run engine ~register =
     let ps = 8192 in
     (* every private page + the shared pages resident at once, with
        slack: the workload measures fault throughput, not eviction *)
     let frames = (workers * pages) + pages + 16 in
     let pvm = Core.Pvm.create ?shards ~frames ~engine () in
+    register pvm;
     let shared_base = 1 lsl 30 in
     (* Pre-fill the shared cache through a setup context, then drop
        the writable window; workers see it read-only. *)
@@ -80,21 +75,21 @@ let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) ?shards () =
             done
           done)
     done;
-    [ pvm ]
+    Explore.observe_digests [ pvm ]
   in
-  { name; run }
+  { Explore.name = "storm"; run; oracle = Explore.Schedule_independent }
 
 let storm_faults ~workers ~pages = workers * pages
 
-let run_on ?(domains = 0) (s : scenario) =
+let run_on ?(domains = 0) (s : Explore.scenario) =
   let engine =
     if domains = 0 then Hw.Engine.create ()
     else Hw.Engine.create ~domains ()
   in
-  let pvms = Hw.Engine.run_fn engine (fun () -> s.run engine) in
+  let pvms = Hw.Engine.run_fn engine (fun () -> Explore.start engine s) in
   String.concat "+" (List.map Core.Inspect.digest pvms)
 
-let run_pair ?(domains = 4) (s : scenario) =
+let run_pair ?(domains = 4) (s : Explore.scenario) =
   let o_seq = run_on ~domains:0 s in
   let o_par = run_on ~domains s in
   {

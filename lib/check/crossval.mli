@@ -12,17 +12,6 @@
     many-context fault workload ("storm") used both here and by the
     throughput benchmark. *)
 
-type scenario = {
-  name : string;
-  run : Hw.Engine.t -> Core.Types.pvm list;
-      (** Build and run the workload to completion inside
-          {!Hw.Engine.run} of the given engine; return the PVMs whose
-          digests form the observable outcome.  The body must produce
-          a schedule-independent final state (see above) — worker
-          fibres may use non-zero [affinity] to actually exercise the
-          domain pool. *)
-}
-
 type outcome = {
   o_name : string;
   o_seq : string;  (** concatenated digests on the sequential engine *)
@@ -37,7 +26,7 @@ val storm :
   ?rounds:int ->
   ?shards:int ->
   unit ->
-  scenario
+  Explore.scenario
 (** The contended fault workload: [workers] fibres (default 8), each
     in its own context with a private anonymous cache of [pages] pages
     (default 16), all sharing one read-only pre-filled cache.  Each
@@ -55,11 +44,15 @@ val storm_faults : workers:int -> pages:int -> int
     (private pages only) — the work unit the throughput benchmark
     divides wall-clock time by. *)
 
-val run_on : ?domains:int -> scenario -> string
+val run_on : ?domains:int -> Explore.scenario -> string
 (** Run the scenario on a fresh engine ([domains = 0]: sequential, the
-    default) and return the concatenated observable digests. *)
+    default) until it drains and return the concatenated
+    {!Core.Inspect.digest}s of the PVMs it registered.  The scenario
+    must produce a schedule-independent final state (see above);
+    worker fibres may use non-zero [affinity] to actually exercise the
+    domain pool. *)
 
-val run_pair : ?domains:int -> scenario -> outcome
+val run_pair : ?domains:int -> Explore.scenario -> outcome
 (** Run the scenario on the sequential engine, then again from scratch
     on a parallel engine with [domains] workers (default 4), and
     compare digests. *)

@@ -85,8 +85,8 @@ exception Sleep_blocked
 (* the run entered a state whose every enabled transition is in the
    sleep set: a redundant interleaving, abandoned mid-flight *)
 
-exception Too_many_steps of int
-exception Invariant_failed of string
+exception Diverged of string
+exception Invariant_failed of string * string list
 
 type step = {
   st_fib : int;
@@ -133,37 +133,100 @@ type oracle =
 type scenario = {
   name : string;
   run : Hw.Engine.t -> register:(Core.Types.pvm -> unit) -> unit -> string;
+  oracle : oracle;
 }
 
-let sanitize_or_raise ~strict pvm =
-  match Sanitizer.run ~strict pvm with
+let observe_digests pvms () =
+  String.concat "+" (List.map Core.Inspect.digest pvms)
+
+let start eng (scenario : scenario) =
+  let pvms = ref [] in
+  let _observe : unit -> string =
+    scenario.run eng ~register:(fun pvm -> pvms := pvm :: !pvms)
+  in
+  List.rev !pvms
+
+(* --- One execution, one classifier ------------------------------- *)
+
+type outcome = {
+  o_kind : string;
+  o_detail : string;
+  o_digests : string list;
+  o_rules : string list;
+}
+
+(* Sweep every PVM; one failure names the rules of every failing PVM. *)
+let sweep ~strict pvms =
+  match
+    List.filter_map
+      (fun pvm ->
+        match Sanitizer.run ~strict pvm with [] -> None | vs -> Some (pvm, vs))
+      pvms
+  with
   | [] -> ()
-  | vs ->
+  | failed ->
+    let report (pvm, vs) =
+      Format.asprintf "%a" (fun ppf () -> Sanitizer.report ppf pvm vs) ()
+    in
+    let rules =
+      List.concat_map
+        (fun (_, vs) -> List.map (fun v -> v.Sanitizer.rule) vs)
+        failed
+    in
     raise
       (Invariant_failed
-         (Format.asprintf "%a"
-            (fun ppf () -> Sanitizer.report ppf pvm vs)
-            ()))
+         ( String.concat "\n" (List.map report failed),
+           List.sort_uniq compare rules ))
 
-(* Execute the scenario once under [pick]/[on_step] and classify how
-   the schedule ended.  The per-slice sanitizer sweep and the terminal
-   strict sweep live in the callbacks / epilogue of the callers. *)
-let classify body =
-  match body () with
-  | digest -> `Done digest
-  | exception Sleep_blocked -> `Sleep
-  | exception Too_many_steps n ->
-    `Violation
-      ("divergence", Printf.sprintf "schedule exceeded %d engine events" n)
-  | exception Invariant_failed detail -> `Violation ("invariant", detail)
-  | exception Hw.Engine.Deadlock n ->
-    `Violation ("deadlock", Printf.sprintf "%d fibres still suspended" n)
-  | exception e -> `Violation ("crash", Printexc.to_string e)
+let execute ~every_event ~max_steps eng (scenario : scenario) =
+  let pvms = ref [] in
+  let registered () = List.rev !pvms in
+  let steps = ref 0 in
+  Hw.Engine.set_event_hook eng (fun () ->
+      incr steps;
+      if !steps > max_steps then
+        raise
+          (Diverged
+             (Printf.sprintf "schedule exceeded %d engine events" max_steps));
+      if every_event then sweep ~strict:false (registered ()));
+  let body () =
+    let digest =
+      Hw.Engine.run_fn eng (fun () ->
+          let observe =
+            scenario.run eng ~register:(fun pvm -> pvms := pvm :: !pvms)
+          in
+          observe ())
+    in
+    sweep ~strict:true (registered ());
+    digest
+  in
+  let kind, detail, rules =
+    match body () with
+    | digest -> ("done", digest, [])
+    | exception Sleep_blocked -> ("sleep", "", [])
+    | exception Invariant_failed (detail, rules) -> ("invariant", detail, rules)
+    | exception Diverged detail -> ("divergence", detail, [])
+    | exception Hw.Engine.Deadlock n ->
+      ( "deadlock",
+        Printf.sprintf "%d fibre(s) still suspended\n%s" n
+          (Hw.Engine.blocked_report eng),
+        [] )
+    | exception Hw.Engine.Watchdog diag -> ("watchdog", diag, [])
+    | exception e -> ("crash", Printexc.to_string e, [])
+  in
+  let pvms = registered () in
+  ( {
+      o_kind = kind;
+      o_detail = detail;
+      o_digests = List.map Core.Inspect.digest pvms;
+      o_rules = rules;
+    },
+    pvms )
 
 (* --- The DFS driver ---------------------------------------------- *)
 
-let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
-    ?(oracle = No_oracle) (scenario : scenario) : result =
+let run ?bound ?max_schedules ?(max_steps = 200_000) (scenario : scenario) :
+    result =
   let exhaustive = bound = None in
   let stats =
     {
@@ -186,7 +249,6 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
   let prev_fib = ref (-1) in
   let preempts = ref 0 in
   let pending_node = ref (-1) in
-  let pvms : Core.Types.pvm list ref = ref [] in
   let outcomes_seen : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let slept f sleep = List.exists (fun (sf, _) -> sf = f) sleep in
 
@@ -273,9 +335,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
         List.filter
           (fun (f, o) -> f <> fib && not (conflict o objs))
           !cur_sleep;
-    prev_fib := fib;
-    if Vec.length steps > max_steps then raise (Too_many_steps max_steps);
-    if sweep then List.iter (sanitize_or_raise ~strict:false) !pvms
+    prev_fib := fib
   in
 
   let scheduler = { Hw.Engine.sched_pick = pick; sched_step = on_step } in
@@ -287,18 +347,9 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
     prev_fib := -1;
     preempts := 0;
     pending_node := -1;
-    pvms := [];
-    classify (fun () ->
-        let eng = Hw.Engine.create () in
-        Hw.Engine.set_scheduler eng scheduler;
-        let register pvm = pvms := pvm :: !pvms in
-        let digest =
-          Hw.Engine.run_fn eng (fun () ->
-              let observe = scenario.run eng ~register in
-              observe ())
-        in
-        if sweep then List.iter (sanitize_or_raise ~strict:true) !pvms;
-        digest)
+    let eng = Hw.Engine.create () in
+    Hw.Engine.set_scheduler eng scheduler;
+    fst (execute ~every_event:true ~max_steps eng scenario)
   in
 
   let current_schedule () =
@@ -464,7 +515,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
   let violation = ref None in
   let first_digest = ref None in
   let check_oracle digest =
-    match oracle with
+    match scenario.oracle with
     | No_oracle -> None
     | Schedule_independent -> (
       match !first_digest with
@@ -495,100 +546,115 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
     | Some m -> stats.schedules + stats.sleep_blocked < m
   in
   let rec drive () =
-    let outcome = run_once () in
+    let o = run_once () in
     stats.steps_total <- stats.steps_total + Vec.length steps;
     if !depth > stats.max_depth then stats.max_depth <- !depth;
-    match outcome with
-    | `Done digest -> (
+    let found kind detail =
+      violation :=
+        Some
+          { v_kind = kind; v_detail = detail; v_schedule = current_schedule () }
+    in
+    let next () =
+      if not (budget_left ()) then ()
+      else if backtrack () then drive ()
+      else stats.exhausted <- true
+    in
+    match o.o_kind with
+    | "done" -> (
+      let digest = o.o_detail in
       stats.schedules <- stats.schedules + 1;
       Hashtbl.replace outcomes_seen digest
         (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes_seen digest));
       match check_oracle digest with
-      | Some (kind, detail) ->
-        violation :=
-          Some
-            { v_kind = kind; v_detail = detail; v_schedule = current_schedule () }
+      | Some (kind, detail) -> found kind detail
       | None ->
         if exhaustive then analyze_races ();
-        if not (budget_left ()) then ()
-        else if backtrack () then drive ()
-        else stats.exhausted <- true)
-    | `Sleep ->
+        next ())
+    | "sleep" ->
       stats.sleep_blocked <- stats.sleep_blocked + 1;
-      if not (budget_left ()) then ()
-      else if backtrack () then drive ()
-      else stats.exhausted <- true
-    | `Violation (kind, detail) ->
-      violation :=
-        Some
-          { v_kind = kind; v_detail = detail; v_schedule = current_schedule () }
+      next ()
+    | kind -> found kind o.o_detail
   in
   drive ();
   stats.distinct_outcomes <- Hashtbl.length outcomes_seen;
   { r_stats = stats; r_violation = !violation; r_outcomes = outcomes_seen }
 
-(* --- Replay ------------------------------------------------------ *)
+(* --- The forced replay ------------------------------------------- *)
 
-(* Re-run one schedule: at the d-th choice point take the fibre the
-   schedule names (falling back to seq order if it is absent — the
-   schedule then no longer matches the binary, but the run stays
-   legal).  Used to confirm and render a violation found by [run]. *)
-let replay ?(sweep = true) ?(max_steps = 200_000) (scenario : scenario)
-    (schedule : int list) =
+(* At the d-th multi-ready dispatch run the fibre the schedule names;
+   past the recorded prefix, the FIFO default.  A named fibre that is
+   not ready means the schedule no longer fits this scenario. *)
+let forced_pick schedule =
   let forced = Array.of_list schedule in
   let nchoice = ref 0 in
-  let nsteps = ref 0 in
-  let pvms : Core.Types.pvm list ref = ref [] in
-  let pick ~now:_ (ready : Hw.Engine.ready_task array) =
+  fun ~now:_ (ready : Hw.Engine.ready_task array) ->
     if Array.length ready = 1 then 0
     else begin
       let d = !nchoice in
       incr nchoice;
-      let want = if d < Array.length forced then forced.(d) else min_int in
-      let idx = ref 0 in
-      Array.iteri
-        (fun i (r : Hw.Engine.ready_task) ->
-          if r.Hw.Engine.rt_fib = want then idx := i)
-        ready;
-      !idx
+      if d >= Array.length forced then 0
+      else
+        let fibs =
+          Array.map (fun (r : Hw.Engine.ready_task) -> r.Hw.Engine.rt_fib) ready
+        in
+        match Array.find_index (( = ) forced.(d)) fibs with
+        | Some i -> i
+        | None ->
+          raise
+            (Diverged
+               (Printf.sprintf
+                  "decision %d wanted fibre %d, but the ready fibres were [%s]"
+                  d forced.(d)
+                  (String.concat "; "
+                     (List.map string_of_int (Array.to_list fibs)))))
     end
-  in
-  let on_step ~fib:_ ~accesses:_ =
-    incr nsteps;
-    if !nsteps > max_steps then raise (Too_many_steps max_steps);
-    if sweep then List.iter (sanitize_or_raise ~strict:false) !pvms
-  in
-  classify (fun () ->
-      let eng = Hw.Engine.create () in
-      Hw.Engine.set_scheduler eng
-        { Hw.Engine.sched_pick = pick; sched_step = on_step };
-      let register pvm = pvms := pvm :: !pvms in
-      let digest =
-        Hw.Engine.run_fn eng (fun () ->
-            let observe = scenario.run eng ~register in
-            observe ())
-      in
-      if sweep then List.iter (sanitize_or_raise ~strict:true) !pvms;
-      digest)
+
+let replay ?(max_steps = 200_000) (scenario : scenario) schedule =
+  let eng = Hw.Engine.create () in
+  let fl = Obs.Flight.create () in
+  Obs.Flight.enable fl;
+  Hw.Engine.set_flight eng fl;
+  (* Watchdog on, so a bundle whose live run died of a blocked-on
+     cycle dies of the same cycle here (cycle detection is eager at
+     park time, hence schedule-deterministic). *)
+  Hw.Engine.enable_watchdog eng ();
+  Hw.Engine.set_scheduler eng
+    {
+      Hw.Engine.sched_pick = forced_pick schedule;
+      sched_step = (fun ~fib:_ ~accesses:_ -> ());
+    };
+  let outcome, pvms = execute ~every_event:true ~max_steps eng scenario in
+  (outcome, eng, pvms)
 
 (* --- Program scenarios ------------------------------------------- *)
+
+let page_size = 8192
 
 (* Lift a Model program into a scenario: one fibre per row, executing
    its reads and writes through the full PVM; the observable digest is
    Model.digest_outcome over the final contents (read back through the
    GMI at quiescence) and the per-fibre read results — directly
    comparable against Model.outcomes. *)
-let of_program ~name
-    ~(setup :
-       Hw.Engine.t -> Core.Types.pvm * Core.Types.context * int)
-    (prog : Model.prog) : scenario =
+let of_program ~name ~frames ~pages (prog : Model.prog) : scenario =
+  let size = pages * page_size in
   {
     name;
+    oracle = Outcomes (lazy (Model.outcomes ~size prog));
     run =
       (fun eng ~register ->
-        let pvm, ctx, size = setup eng in
+        let site =
+          Nucleus.Site.create ~page_size ~frames
+            ~swap_seek_time:(Hw.Sim_time.ms 4)
+            ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine:eng ()
+        in
+        let pvm = site.Nucleus.Site.pvm in
+        let ctx = Core.Context.create pvm in
+        let cache = Core.Cache.create pvm () in
+        let _ =
+          Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
+            cache ~offset:0
+        in
         register pvm;
-        let ps = Core.Pvm.page_size pvm in
         Array.iter
           (Array.iter (fun (op : Model.op) ->
                let addr, len =
@@ -596,7 +662,8 @@ let of_program ~name
                  | Model.Write { addr; data } -> (addr, String.length data)
                  | Model.Read { addr; len } -> (addr, len)
                in
-               if len <= 0 || addr / ps <> (addr + len - 1) / ps then
+               if len <= 0 || addr / page_size <> (addr + len - 1) / page_size
+               then
                  invalid_arg "Explore.of_program: op must stay within one page"))
           prog;
         let n = Array.length prog in
@@ -629,6 +696,27 @@ let of_program ~name
           in
           Model.digest_outcome ~contents ~reads:(Array.map List.rev reads));
   }
+
+(* Worker f writes page (f + r) mod pages in round r and reads the
+   next page, so neighbouring workers meet on every page. *)
+let rotating ~workers ~rounds ~pages =
+  Array.init workers (fun f ->
+      Array.concat
+        (List.init rounds (fun r ->
+             let p = (f + r) mod pages in
+             let data = String.make 16 (Char.chr (65 + f)) in
+             [|
+               Model.Write { addr = p * page_size; data };
+               Model.Read { addr = (p + 1) mod pages * page_size; len = 8 };
+             |])))
+
+let pressure =
+  of_program ~name:"pressure" ~frames:2 ~pages:3
+    (rotating ~workers:2 ~rounds:2 ~pages:3)
+
+let contend_model =
+  of_program ~name:"contend-model" ~frames:3 ~pages:3
+    (rotating ~workers:3 ~rounds:2 ~pages:3)
 
 (* --- Reporting --------------------------------------------------- *)
 

@@ -14,10 +14,20 @@
     fragment or the same coarse object class (frame pool / reclaim
     queue, cache-context topology — see {!Core.Types}).
 
-    Each explored schedule optionally runs the {!Sanitizer}'s
-    structural tier after every engine event and its full tier at
-    quiescence, and its observable outcome is checked against a
-    refinement oracle. *)
+    Each explored schedule runs the {!Sanitizer}'s structural tier
+    after every engine event and its full tier at quiescence, and its
+    observable outcome is checked against the scenario's refinement
+    oracle.  The module also owns what every checker shares: the one
+    {!scenario} type, the one execution function {!execute} with its
+    failure classifier, and the one forced replay {!replay}. *)
+
+type oracle =
+  | Schedule_independent
+      (** every schedule must produce the digest of the first one *)
+  | Outcomes of (string, unit) Hashtbl.t Lazy.t
+      (** every schedule's digest must be a member — typically
+          {!Model.outcomes}, forced only if a schedule completes *)
+  | No_oracle
 
 type scenario = {
   name : string;
@@ -30,15 +40,50 @@ type scenario = {
           workload — block (e.g. on a {!Hw.Engine.Cond}) until the
           outcome is final, as {!of_program}'s join does.  Must be
           deterministic given the schedule. *)
+  oracle : oracle;  (** what every explored schedule's digest must meet *)
+}
+(** The one scenario shape: what [chorus check], [explore], [replay]
+    and [crossval] run. *)
+
+val observe_digests : Core.Types.pvm list -> unit -> string
+(** The observation of a scenario judged by its state alone: the
+    concatenated {!Core.Inspect.digest}s of the PVMs at call time. *)
+
+val start : Hw.Engine.t -> scenario -> Core.Types.pvm list
+(** Build and start the workload (call inside the simulation) and
+    return the PVMs it registered, in registration order; the
+    observation thunk is dropped.  For runs that only want the PVMs
+    once the engine drains: crossval, trace, stats, benchmarks. *)
+
+type outcome = {
+  o_kind : string;
+      (** ["done"], ["sleep"], ["invariant"], ["deadlock"],
+          ["watchdog"], ["divergence"] or ["crash"] *)
+  o_detail : string;  (** digest when done; diagnostic otherwise *)
+  o_digests : string list;
+      (** {!Core.Inspect.digest} per registered PVM, registration
+          order, at completion or at the failure point *)
+  o_rules : string list;
+      (** rule ids of the sanitizer sweep that failed, over every
+          failing PVM, sorted, deduplicated; empty unless
+          [o_kind = "invariant"] *)
 }
 
-type oracle =
-  | Schedule_independent
-      (** every schedule must produce the digest of the first one *)
-  | Outcomes of (string, unit) Hashtbl.t Lazy.t
-      (** every schedule's digest must be a member — typically
-          {!Model.outcomes}, forced only if a schedule completes *)
-  | No_oracle
+val execute :
+  every_event:bool ->
+  max_steps:int ->
+  Hw.Engine.t ->
+  scenario ->
+  outcome * Core.Types.pvm list
+(** Run the scenario once on a fresh engine the caller has prepared
+    (scheduler, tie-break, tracer, flight recorder, watchdog) and
+    classify how the run ends; also returns the registered PVMs.
+    Installs the engine's event hook: it ends the run as a
+    ["divergence"] past [max_steps] engine events and, with
+    [every_event], runs the sanitizer's structural tier over every
+    registered PVM.  Once the engine drains, the strict tier sweeps
+    them all.  The DFS, {!replay} and [chorus check] all run through
+    this. *)
 
 type stats = {
   mutable schedules : int;  (** complete schedules executed *)
@@ -56,8 +101,9 @@ type stats = {
 
 type violation = {
   v_kind : string;
-      (** ["crash"], ["deadlock"], ["invariant"], ["divergence"],
-          ["digest-divergence"] or ["non-serializable"] *)
+      (** an {!outcome} kind other than ["done"] and ["sleep"], or an
+          oracle verdict: ["digest-divergence"] or
+          ["non-serializable"] *)
   v_detail : string;
   v_schedule : int list;
       (** fibre chosen at each multi-ready choice point, in order —
@@ -72,45 +118,56 @@ type result = {
 }
 
 val run :
-  ?bound:int ->
-  ?max_schedules:int ->
-  ?max_steps:int ->
-  ?sweep:bool ->
-  ?oracle:oracle ->
-  scenario ->
-  result
-(** Explore the scenario's schedules.  Without [bound] the search is
-    exhaustive with DPOR pruning; with [bound k] it is a plain DFS
-    over schedules using at most [k] preemptions (switches away from a
-    still-ready fibre) — the two prunings are not combined because
-    sleep sets are unsound under a preemption bound.  [max_schedules]
-    caps executed runs (sets [exhausted = false] when hit);
-    [max_steps] (default 200_000) bounds one schedule's engine events;
-    [sweep] (default true) runs the sanitizer's structural tier after
-    every engine event and its strict tier at quiescence. *)
+  ?bound:int -> ?max_schedules:int -> ?max_steps:int -> scenario -> result
+(** Explore the scenario's schedules, each swept by the sanitizer's
+    structural tier after every engine event and its strict tier at
+    quiescence, and judged by the scenario's oracle.  Without [bound]
+    the search is exhaustive with DPOR pruning; with [bound k] it is
+    a plain DFS over schedules using at most [k] preemptions
+    (switches away from a still-ready fibre) — the two prunings are
+    not combined because sleep sets are unsound under a preemption
+    bound.  [max_schedules] caps executed runs (sets
+    [exhausted = false] when hit); [max_steps] (default 200_000)
+    bounds one schedule's engine events. *)
 
 val replay :
-  ?sweep:bool ->
   ?max_steps:int ->
   scenario ->
   int list ->
-  [ `Done of string | `Sleep | `Violation of string * string ]
-(** Re-run a single schedule (a {!violation.v_schedule}) and classify
-    how it ends; used to confirm a violation and render the offending
-    state. *)
+  outcome * Hw.Engine.t * Core.Types.pvm list
+(** The one forced replay: re-run a recorded schedule (a
+    {!violation.v_schedule} or a bundle's decision log) on a fresh
+    engine carrying an enabled flight recorder and the watchdog,
+    sweeping as {!run} does.  At the d-th multi-ready dispatch it
+    runs the fibre the schedule names; when that fibre is not ready
+    the run ends as a ["divergence"] naming the decision, the wanted
+    fibre and the ready ones.  Dispatches past the recorded prefix
+    take the FIFO default.  Returns the engine and PVMs for bundling
+    the end state. *)
 
 val of_program :
-  name:string ->
-  setup:(Hw.Engine.t -> Core.Types.pvm * Core.Types.context * int) ->
-  Model.prog ->
-  scenario
-(** Lift a {!Model} program into a scenario: [setup] builds the PVM
-    and a context whose region covers bytes [0..size) of address
-    space, one fibre per program row executes its operations through
+  name:string -> frames:int -> pages:int -> Model.prog -> scenario
+(** Lift a {!Model} program into a scenario over a site of [frames]
+    8 KB frames with a swap store of real latency, and one context
+    whose [pages]-page anonymous region covers the program's address
+    space.  One fibre per program row executes its operations through
     {!Core.Pvm.read}/[write] (each operation must stay within one
-    page), and the observation digest is {!Model.digest_outcome} over
-    the read-back final contents and per-fibre read results — directly
-    comparable against {!Model.outcomes} via [Outcomes]. *)
+    page); the observation digest is {!Model.digest_outcome} over the
+    read-back final contents and per-fibre read results, and the
+    oracle is [Outcomes] of {!Model.outcomes}.
+    @raise Invalid_argument at run time on an operation that spans
+    pages. *)
+
+val pressure : scenario
+(** Two workers over three pages and two frames, so every operation
+    contends for a frame: the fixture that deterministically
+    reproduces both {!For_testing} races, and CI's forced-failure
+    scenario. *)
+
+val contend_model : scenario
+(** [chorus explore contend]: three workers over three pages and three
+    frames, writing a page another worker writes too — a genuine value
+    race with several legal serializations. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_violation : Format.formatter -> violation -> unit

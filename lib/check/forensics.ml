@@ -1,19 +1,5 @@
-(* Crash forensics: bundle assembly and deterministic re-drive.
-
-   The forced-pick driver here deliberately mirrors Explore.replay —
-   same schedule format, same pick rule — but keeps its hands on the
-   engine, the registered PVMs and a live flight recorder, because a
-   bundle needs the failure state, not just the failure class. *)
-
-exception Violation_found of Core.Types.pvm * Sanitizer.violation list
-exception Diverged of int
-
-type outcome = {
-  o_kind : string;
-  o_detail : string;
-  o_digests : string list;
-  o_rules : string list;
-}
+(* Crash forensics: bundle assembly and deterministic re-drive, both
+   over Explore.replay, the one forced replay. *)
 
 (* --- Fault injection --------------------------------------------- *)
 
@@ -45,87 +31,6 @@ let with_injections names f =
       List.iter2 (fun (_, flag) v -> flag := v) injections saved)
     f
 
-(* --- Forced-schedule driver --------------------------------------- *)
-
-let run_forced ?(max_steps = 200_000) (scenario : Explore.scenario)
-    (schedule : int list) =
-  let forced = Array.of_list schedule in
-  let nchoice = ref 0 in
-  let nsteps = ref 0 in
-  let pvms : Core.Types.pvm list ref = ref [] in
-  let fl = Obs.Flight.create () in
-  Obs.Flight.enable fl;
-  let eng = Hw.Engine.create () in
-  Hw.Engine.set_flight eng fl;
-  (* Watchdog on, so a bundle whose live run died of a blocked-on
-     cycle dies of the same cycle here (cycle detection is eager at
-     park time, hence schedule-deterministic). *)
-  Hw.Engine.enable_watchdog eng ();
-  let pick ~now:_ (ready : Hw.Engine.ready_task array) =
-    if Array.length ready = 1 then 0
-    else begin
-      let d = !nchoice in
-      incr nchoice;
-      let want = if d < Array.length forced then forced.(d) else min_int in
-      let idx = ref 0 in
-      Array.iteri
-        (fun i (r : Hw.Engine.ready_task) ->
-          if r.Hw.Engine.rt_fib = want then idx := i)
-        ready;
-      !idx
-    end
-  in
-  let sweep_or_raise ~strict () =
-    List.iter
-      (fun pvm ->
-        match Sanitizer.run ~strict pvm with
-        | [] -> ()
-        | vs -> raise (Violation_found (pvm, vs)))
-      !pvms
-  in
-  let on_step ~fib:_ ~accesses:_ =
-    incr nsteps;
-    if !nsteps > max_steps then raise (Diverged max_steps);
-    sweep_or_raise ~strict:false ()
-  in
-  Hw.Engine.set_scheduler eng { Hw.Engine.sched_pick = pick; sched_step = on_step };
-  let body () =
-    let digest =
-      Hw.Engine.run_fn eng (fun () ->
-          let observe = scenario.run eng ~register:(fun pvm -> pvms := pvm :: !pvms) in
-          observe ())
-    in
-    sweep_or_raise ~strict:true ();
-    digest
-  in
-  let kind, detail, rules =
-    match body () with
-    | digest -> ("done", digest, [])
-    | exception Violation_found (pvm, vs) ->
-      let detail =
-        Format.asprintf "%a" (fun ppf () -> Sanitizer.report ppf pvm vs) ()
-      in
-      ( "invariant",
-        detail,
-        List.sort_uniq compare (List.map (fun v -> v.Sanitizer.rule) vs) )
-    | exception Diverged n ->
-      ("divergence", Printf.sprintf "schedule exceeded %d engine events" n, [])
-    | exception Hw.Engine.Deadlock n ->
-      ("deadlock", Printf.sprintf "%d fibres still suspended" n, [])
-    | exception Hw.Engine.Watchdog diag -> ("watchdog", diag, [])
-    | exception e -> ("crash", Printexc.to_string e, [])
-  in
-  let pvms = List.rev !pvms in
-  let outcome =
-    {
-      o_kind = kind;
-      o_detail = detail;
-      o_digests = List.map Core.Inspect.digest pvms;
-      o_rules = rules;
-    }
-  in
-  (outcome, eng, pvms, fl)
-
 (* --- Bundle assembly ---------------------------------------------- *)
 
 let metrics_json pvm =
@@ -147,51 +52,31 @@ let violations_json rules =
   | [] -> Obs.Json.Null
   | rules -> Obs.Json.List (List.map (fun r -> Obs.Json.Str r) rules)
 
-let assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms ~flight =
-  Obs.Bundle.v ~scenario ~inject ~kind ~detail
+let bundle ~scenario ~inject engine pvms (o : Explore.outcome) =
+  let flight = Hw.Engine.flight engine in
+  Obs.Bundle.v ~scenario ~inject ~kind:o.o_kind ~detail:o.o_detail
     ~sim_now:(Hw.Engine.now engine)
     ~schedule:(Obs.Flight.decisions flight)
     ~flight:(Obs.Flight.to_json flight)
     ~state:(List.map Core.Inspect.state_json pvms)
-    ~digests:(List.map Core.Inspect.digest pvms)
-    ~violations:(violations_json rules)
+    ~digests:o.o_digests
+    ~violations:(violations_json o.o_rules)
     ~metrics:(List.map metrics_json pvms)
     ~watchdog:(watchdog_json engine) ()
 
-let capture ?(inject = []) ?max_steps scenario schedule =
+let capture ?(inject = []) ?max_steps (scenario : Explore.scenario) schedule =
   with_injections inject (fun () ->
-      let outcome, engine, pvms, flight =
-        run_forced ?max_steps scenario schedule
-      in
-      let bundle =
-        assemble ~scenario:scenario.Explore.name ~inject ~kind:outcome.o_kind
-          ~detail:outcome.o_detail ~rules:outcome.o_rules ~engine ~pvms ~flight
-      in
-      (bundle, outcome))
-
-let capture_live ~scenario ?(inject = []) ~kind ~detail ~engine ~pvms () =
-  let rules =
-    List.concat_map
-      (fun pvm ->
-        List.map
-          (fun v -> v.Sanitizer.rule)
-          (Sanitizer.run ~strict:false pvm))
-      pvms
-    |> List.sort_uniq compare
-  in
-  assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms
-    ~flight:(Hw.Engine.flight engine)
+      let outcome, engine, pvms = Explore.replay ?max_steps scenario schedule in
+      (bundle ~scenario:scenario.name ~inject engine pvms outcome, outcome))
 
 (* --- Replay ------------------------------------------------------- *)
 
-let replay ?max_steps (scenario : Explore.scenario) (bundle : Obs.Bundle.t) =
-  with_injections bundle.Obs.Bundle.inject (fun () ->
-      let outcome, _, _, _ =
-        run_forced ?max_steps scenario bundle.Obs.Bundle.schedule
-      in
+let replay ?max_steps scenario (b : Obs.Bundle.t) =
+  with_injections b.inject (fun () ->
+      let outcome, _, _ = Explore.replay ?max_steps scenario b.schedule in
       outcome)
 
-let reproduces (bundle : Obs.Bundle.t) (outcome : outcome) =
+let reproduces (bundle : Obs.Bundle.t) (outcome : Explore.outcome) =
   let b = bundle in
   let problems = ref [] in
   let push p = problems := p :: !problems in

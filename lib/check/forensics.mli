@@ -4,34 +4,20 @@
     {!Obs.Bundle} is the dumb container; this module is the glue that
     can see the engine and the PVM.  Three entry points:
 
-    - {!capture} re-executes a known-bad schedule (an
-      {!Explore.violation}'s) under a forced-pick scheduler with a
-      flight recorder attached and freezes the failure state into a
+    - {!capture} runs a known-bad schedule (an {!Explore.violation}'s)
+      through {!Explore.replay} and freezes the end state into a
       bundle;
-    - {!capture_live} freezes an already-failed live run — the path
-      [chorus check] takes at the moment a sanitizer sweep fails,
-      where the engine's own flight recorder holds the decision
-      prefix;
-    - {!replay} re-executes a bundle's recorded schedule and reports
-      the outcome, which {!reproduces} compares against the bundle.
+    - {!bundle} freezes any finished {!Explore.execute} run — the path
+      [chorus check] takes, where the engine's own flight recorder
+      holds the decision prefix;
+    - {!replay} re-executes a bundle's recorded schedule through
+      {!Explore.replay}, and {!reproduces} compares the outcome
+      against the bundle.
 
     Replay determinism rests on the engine's guarantee that the
     decision log captures {e every} multi-ready dispatch: a forced
     replay of those decisions reproduces the original schedule
     exactly, whatever tie-break policy or scheduler produced it. *)
-
-type outcome = {
-  o_kind : string;
-      (** ["done"], ["sleep"], ["invariant"], ["deadlock"],
-          ["watchdog"], ["divergence"] or ["crash"] *)
-  o_detail : string;  (** digest when done; diagnostic otherwise *)
-  o_digests : string list;
-      (** {!Core.Inspect.digest} per registered PVM, registration
-          order, at completion or at the failure point *)
-  o_rules : string list;
-      (** failed sanitizer rule ids at the failure point, sorted,
-          deduplicated; empty unless [o_kind = "invariant"] *)
-}
 
 val injections : (string * bool ref) list
 (** Named fault-injection flags a bundle can record and a replay can
@@ -53,32 +39,32 @@ val capture :
   ?max_steps:int ->
   Explore.scenario ->
   int list ->
-  Obs.Bundle.t * outcome
-(** [capture scenario schedule] re-runs [schedule] under a forced-pick
-    scheduler with a fresh flight recorder and bundles whatever state
-    the run ends in — normally the violation the schedule was known to
-    produce.  [inject] names {!injections} flags to arm for the run
-    (armed and restored around it) and is recorded in the bundle. *)
+  Obs.Bundle.t * Explore.outcome
+(** [capture scenario schedule] re-runs [schedule] through
+    {!Explore.replay} and bundles whatever state the run ends in —
+    normally the violation the schedule was known to produce.
+    [inject] names {!injections} flags to arm for the run (armed and
+    restored around it) and is recorded in the bundle. *)
 
-val capture_live :
+val bundle :
   scenario:string ->
-  ?inject:string list ->
-  kind:string ->
-  detail:string ->
-  engine:Hw.Engine.t ->
-  pvms:Core.Types.pvm list ->
-  unit ->
+  inject:string list ->
+  Hw.Engine.t ->
+  Core.Types.pvm list ->
+  Explore.outcome ->
   Obs.Bundle.t
-(** Freeze an already-failed run: full state and digests from [pvms],
-    the schedule and ring tail from the [engine]'s flight recorder,
-    sanitizer verdicts (structural tier — the run is mid-flight),
-    metrics registries and the blocked-fibre report. *)
+(** Freeze a finished run: its failure kind, detail and sanitizer rule
+    ids from the outcome, full state, digests and metrics of [pvms],
+    the schedule and ring tail from the engine's flight recorder, and
+    the watchdog's blocked-fibre report. *)
 
-val replay : ?max_steps:int -> Explore.scenario -> Obs.Bundle.t -> outcome
-(** Re-execute the bundle's recorded schedule (arming its recorded
-    injections for the duration) and report how the run ends. *)
+val replay :
+  ?max_steps:int -> Explore.scenario -> Obs.Bundle.t -> Explore.outcome
+(** Re-execute the bundle's recorded schedule through
+    {!Explore.replay} (arming its recorded injections for the
+    duration) and report how the run ends. *)
 
-val reproduces : Obs.Bundle.t -> outcome -> (unit, string) result
+val reproduces : Obs.Bundle.t -> Explore.outcome -> (unit, string) result
 (** Does a replay outcome match what the bundle recorded?  Checks
     failure kind, per-PVM digests and sanitizer rule ids; [Error]
     carries a human-readable mismatch description. *)

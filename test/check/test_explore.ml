@@ -177,6 +177,7 @@ let toy ~conflict =
         fun () ->
           Hw.Engine.sleep 50;
           Buffer.contents log);
+    oracle = Check.Explore.No_oracle;
   }
 
 let test_dpor_prunes_independent_fibres () =
@@ -214,35 +215,15 @@ let test_preemption_bound_modes () =
 
 (* --- full-PVM programs under the refinement oracle ---------------- *)
 
-let site_setup ~frames ~pages engine =
-  let site =
-    Nucleus.Site.create ~frames ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let size = pages * ps in
-  let _ =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  (pvm, ctx, size)
-
 let test_racing_writers_serializable () =
   (* two fibres race a write and a read on the same page; every
      explored schedule's outcome must be one of the model's
      serializations *)
   let prog = [| [| w 0 "aaaa"; r 16 4 |]; [| w 16 "bbbb"; r 0 4 |] |] in
   let scenario =
-    Check.Explore.of_program ~name:"racing-writers"
-      ~setup:(site_setup ~frames:4 ~pages:1)
-      prog
+    Check.Explore.of_program ~name:"racing-writers" ~frames:4 ~pages:1 prog
   in
-  let oracle =
-    Check.Explore.Outcomes (lazy (Check.Model.outcomes ~size:ps prog))
-  in
-  let result = Check.Explore.run ~oracle scenario in
+  let result = Check.Explore.run scenario in
   let s = result.Check.Explore.r_stats in
   (match result.Check.Explore.r_violation with
   | None -> ()
@@ -257,62 +238,39 @@ let with_flag flag f =
   flag := true;
   Fun.protect ~finally:(fun () -> flag := false) f
 
+(* Find the planted race and replay the offending schedule: it must
+   end in the same kind of failure. *)
+let find_and_replay scenario =
+  let result = Check.Explore.run ~max_schedules:2000 scenario in
+  match result.Check.Explore.r_violation with
+  | None -> Alcotest.fail "explorer missed the reintroduced race"
+  | Some v ->
+    let o, _, _ = Check.Explore.replay scenario v.Check.Explore.v_schedule in
+    Alcotest.(check string)
+      "replay reproduces the violation" v.Check.Explore.v_kind
+      o.Check.Explore.o_kind;
+    o
+
 (* Race A (pager): evict yields between choosing a victim and claiming
    its global-map entry, so two concurrent faults under memory
-   pressure can evict the same page twice.  The memory-pressure
-   program from the CLI's contend scenario, shrunk to two workers. *)
-let pressure_prog =
-  Array.init 2 (fun f ->
-      Array.concat
-        (List.init 2 (fun rd ->
-             let p = (f + rd) mod 3 in
-             [| w (p * ps) (String.make 16 (Char.chr (65 + f)));
-                r ((p + 1) mod 3 * ps) 8;
-             |])))
-
-let pressure_scenario =
-  Check.Explore.of_program ~name:"pressure"
-    ~setup:(site_setup ~frames:2 ~pages:3)
-    pressure_prog
-
+   pressure can evict the same page twice. *)
 let test_catches_evict_claim_race () =
   with_flag Check.Explore.For_testing.evict_claim_late (fun () ->
-      let result =
-        Check.Explore.run ~max_schedules:2000 pressure_scenario
-      in
-      match result.Check.Explore.r_violation with
-      | None ->
-        Alcotest.fail "explorer missed the reintroduced evict-claim race"
-      | Some v -> (
-        match Check.Explore.replay pressure_scenario v.Check.Explore.v_schedule with
-        | `Violation _ -> ()
-        | `Done _ | `Sleep ->
-          Alcotest.fail "replay did not reproduce the violation"))
+      ignore (find_and_replay Check.Explore.pressure))
 
 (* Race B (install): try_insert_fresh skips the lost-race probe, so
    two concurrent zero-fill faults on the same page both insert a
    descriptor — a structural invariant violation the per-event sweep
    must catch.  Ample frames: this race needs no memory pressure. *)
 let double_insert_scenario =
-  Check.Explore.of_program ~name:"double-insert"
-    ~setup:(site_setup ~frames:8 ~pages:1)
+  Check.Explore.of_program ~name:"double-insert" ~frames:8 ~pages:1
     [| [| w 0 "xxxx" |]; [| w 16 "yyyy" |] |]
 
 let test_catches_skipped_insert_probe () =
   with_flag Check.Explore.For_testing.skip_insert_probe (fun () ->
-      let result =
-        Check.Explore.run ~max_schedules:2000 double_insert_scenario
-      in
-      match result.Check.Explore.r_violation with
-      | None ->
-        Alcotest.fail "explorer missed the reintroduced insert race"
-      | Some v -> (
-        match
-          Check.Explore.replay double_insert_scenario v.Check.Explore.v_schedule
-        with
-        | `Violation _ -> ()
-        | `Done _ | `Sleep ->
-          Alcotest.fail "replay did not reproduce the violation"))
+      let o = find_and_replay double_insert_scenario in
+      Alcotest.(check (list string))
+        "replay names the broken rules" [ "gmap" ] o.Check.Explore.o_rules)
 
 (* Both planted bugs off: the same scenarios must pass, or the
    mutation tests prove nothing. *)
@@ -328,7 +286,7 @@ let test_clean_scenarios_pass () =
       Alcotest.(check bool)
         (scenario.Check.Explore.name ^ " exhausted")
         true result.Check.Explore.r_stats.Check.Explore.exhausted)
-    [ pressure_scenario; double_insert_scenario ]
+    [ Check.Explore.pressure; double_insert_scenario ]
 
 let () =
   Alcotest.run "explore"

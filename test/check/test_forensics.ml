@@ -7,39 +7,6 @@
    would be indistinguishable from no replayer. *)
 
 let ps = 8192
-let w addr data = Check.Model.Write { addr; data }
-let r addr len = Check.Model.Read { addr; len }
-
-let site_setup ~frames ~pages engine =
-  let site =
-    Nucleus.Site.create ~frames ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let size = pages * ps in
-  let _ =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  (pvm, ctx, size)
-
-(* The memory-pressure shape from test_explore: two workers over three
-   pages and two frames, every operation contending for a frame. *)
-let pressure_prog =
-  Array.init 2 (fun f ->
-      Array.concat
-        (List.init 2 (fun rd ->
-             let p = (f + rd) mod 3 in
-             [| w (p * ps) (String.make 16 (Char.chr (65 + f)));
-                r ((p + 1) mod 3 * ps) 8;
-             |])))
-
-let pressure_scenario =
-  Check.Explore.of_program ~name:"pressure"
-    ~setup:(site_setup ~frames:2 ~pages:3)
-    pressure_prog
 
 let tmp_bundle_dir =
   Filename.concat (Filename.get_temp_dir_name ()) "chorus-test-bundles"
@@ -113,37 +80,39 @@ let test_bundle_rejects_foreign_schema () =
    the recorded failure exactly. *)
 let capture_replay_roundtrip inject =
   Check.Forensics.with_injections [ inject ] (fun () ->
-      let result = Check.Explore.run ~max_schedules:2000 pressure_scenario in
+      let result =
+        Check.Explore.run ~max_schedules:2000 Check.Explore.pressure
+      in
       match result.Check.Explore.r_violation with
       | None -> Alcotest.failf "%s produced no violation" inject
       | Some v ->
         let bundle, outcome =
-          Check.Forensics.capture ~inject:[ inject ] pressure_scenario
+          Check.Forensics.capture ~inject:[ inject ] Check.Explore.pressure
             v.Check.Explore.v_schedule
         in
         Alcotest.(check string)
           "capture reproduces the explorer's verdict" v.Check.Explore.v_kind
-          outcome.Check.Forensics.o_kind;
+          outcome.Check.Explore.o_kind;
         let path = Obs.Bundle.write ~dir:tmp_bundle_dir bundle in
         let b =
           match Obs.Bundle.read path with
           | Ok b -> b
           | Error e -> Alcotest.fail e
         in
-        let o1 = Check.Forensics.replay pressure_scenario b in
+        let o1 = Check.Forensics.replay Check.Explore.pressure b in
         (match Check.Forensics.reproduces b o1 with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "replay did not reproduce:\n%s" msg);
-        let o2 = Check.Forensics.replay pressure_scenario b in
+        let o2 = Check.Forensics.replay Check.Explore.pressure b in
         Alcotest.(check string)
-          "replay kind deterministic" o1.Check.Forensics.o_kind
-          o2.Check.Forensics.o_kind;
+          "replay kind deterministic" o1.Check.Explore.o_kind
+          o2.Check.Explore.o_kind;
         Alcotest.(check (list string))
-          "replay digests deterministic" o1.Check.Forensics.o_digests
-          o2.Check.Forensics.o_digests;
+          "replay digests deterministic" o1.Check.Explore.o_digests
+          o2.Check.Explore.o_digests;
         Alcotest.(check (list string))
-          "replay rules deterministic" o1.Check.Forensics.o_rules
-          o2.Check.Forensics.o_rules;
+          "replay rules deterministic" o1.Check.Explore.o_rules
+          o2.Check.Explore.o_rules;
         (bundle, outcome))
 
 let test_replay_evict_claim_race () =
@@ -154,9 +123,9 @@ let test_replay_skip_insert_probe () =
   (* this race manifests as a sanitizer violation, so the bundle must
      carry the failed rule ids and the replay must re-derive them *)
   Alcotest.(check string) "invariant kind" "invariant"
-    outcome.Check.Forensics.o_kind;
+    outcome.Check.Explore.o_kind;
   Alcotest.(check bool) "sanitizer rules recorded" true
-    (outcome.Check.Forensics.o_rules <> []);
+    (outcome.Check.Explore.o_rules <> []);
   Alcotest.(check bool) "bundle records the schedule" true
     (bundle.Obs.Bundle.schedule <> [])
 
@@ -167,19 +136,90 @@ let test_reproduces_detects_divergence () =
   let bundle, _ =
     Check.Forensics.with_injections [ "skip-insert-probe" ] (fun () ->
         let result =
-          Check.Explore.run ~max_schedules:2000 pressure_scenario
+          Check.Explore.run ~max_schedules:2000 Check.Explore.pressure
         in
         match result.Check.Explore.r_violation with
         | None -> Alcotest.fail "no violation to bundle"
         | Some v ->
           Check.Forensics.capture ~inject:[ "skip-insert-probe" ]
-            pressure_scenario v.Check.Explore.v_schedule)
+            Check.Explore.pressure v.Check.Explore.v_schedule)
   in
   let clean = { bundle with Obs.Bundle.inject = [] } in
-  let outcome = Check.Forensics.replay pressure_scenario clean in
+  let outcome = Check.Forensics.replay Check.Explore.pressure clean in
   match Check.Forensics.reproduces bundle outcome with
   | Ok () -> Alcotest.fail "clean replay claimed to reproduce the failure"
   | Error _ -> ()
+
+(* A run that ends with a synchronization stub left in the global
+   map: legal between events, so only the strict sweep at quiescence
+   catches it ([transit] is a strict-only rule).  The bundle [chorus
+   check] writes must record that sweep's rules, or its own replay
+   cannot reproduce it. *)
+let leftover_stub =
+  {
+    Check.Explore.name = "leftover-stub";
+    oracle = Check.Explore.No_oracle;
+    run =
+      (fun engine ~register ->
+        let pvm = Core.Pvm.create ~frames:8 ~engine () in
+        register pvm;
+        let cache = Core.Cache.create pvm () in
+        Core.Shard_map.replace pvm.Core.Types.gmap
+          (cache.Core.Types.c_id, 0)
+          (Core.Types.Sync_stub (Hw.Engine.Cond.create ()));
+        Check.Explore.observe_digests [ pvm ]);
+  }
+
+let test_check_bundle_replays_strict_rules () =
+  (* the engine [chorus check] runs a seed on *)
+  let engine = Hw.Engine.create ~tie_break:(Hw.Engine.Seeded 1) () in
+  let fl = Obs.Flight.create () in
+  Obs.Flight.enable fl;
+  Hw.Engine.set_flight engine fl;
+  Hw.Engine.enable_watchdog engine ();
+  let outcome, pvms =
+    Check.Explore.execute ~every_event:true ~max_steps:max_int engine
+      leftover_stub
+  in
+  Alcotest.(check (list string))
+    "strict sweep names the stub" [ "transit" ] outcome.Check.Explore.o_rules;
+  let bundle =
+    Check.Forensics.bundle ~scenario:"leftover-stub" ~inject:[] engine pvms
+      outcome
+  in
+  match
+    Check.Forensics.reproduces bundle
+      (Check.Forensics.replay leftover_stub bundle)
+  with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "check bundle does not replay:\n%s" msg
+
+(* A recorded decision naming a fibre that is not ready ends the
+   replay as a divergence that says where; decisions past the
+   recorded prefix take the FIFO default, which is what a clean run
+   recorded. *)
+let test_non_ready_decision_diverges () =
+  let bundle, outcome = Check.Forensics.capture Check.Explore.pressure [] in
+  Alcotest.(check string) "clean capture" "done" outcome.Check.Explore.o_kind;
+  let schedule =
+    List.mapi (fun i f -> if i = 1 then 999 else f) bundle.Obs.Bundle.schedule
+  in
+  let o =
+    Check.Forensics.replay Check.Explore.pressure { bundle with schedule }
+  in
+  Alcotest.(check string) "kind" "divergence" o.Check.Explore.o_kind;
+  let prefix = "decision 1 wanted fibre 999, but the ready fibres were [" in
+  Alcotest.(check string)
+    "detail names decision, wanted and ready fibres" prefix
+    (String.sub o.Check.Explore.o_detail 0
+       (min (String.length prefix) (String.length o.Check.Explore.o_detail)));
+  let fifo =
+    Check.Forensics.replay Check.Explore.pressure
+      { bundle with schedule = [] }
+  in
+  match Check.Forensics.reproduces bundle fifo with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "empty prefix is not the FIFO run:\n%s" msg
 
 let test_unknown_injection_rejected () =
   match Check.Forensics.set_injections [ "no-such-fault" ] with
@@ -209,5 +249,9 @@ let () =
             test_reproduces_detects_divergence;
           Alcotest.test_case "unknown injection rejected" `Quick
             test_unknown_injection_rejected;
+          Alcotest.test_case "check bundle replays strict-only rules" `Quick
+            test_check_bundle_replays_strict_rules;
+          Alcotest.test_case "non-ready decision diverges" `Quick
+            test_non_ready_decision_diverges;
         ] );
     ]

@@ -20,7 +20,7 @@ let traced_storm ?(capacity = 262144) ~domains () =
   Hw.Engine.set_tracer engine tr;
   let scen = Check.Crossval.storm () in
   let pvms =
-    Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine)
+    Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen)
   in
   (tr, engine, pvms)
 
@@ -40,7 +40,7 @@ let test_storm_counters domains () =
     let engine = Hw.Engine.create () in
     let scen = Check.Crossval.storm () in
     total_faults
-      (Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine))
+      (Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen))
   in
   let _, _, pvms = traced_storm ~domains () in
   let par = total_faults pvms in
