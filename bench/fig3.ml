@@ -60,8 +60,9 @@ let run () =
       wr 0 1 'T';
       show "3.d  third copy of src: second working object:" src;
 
-      match Core.Pvm.check_invariant pvm with
+      match Check.Sanitizer.run pvm with
       | [] -> Printf.printf "history-tree invariants: OK\n"
       | errs ->
         Printf.printf "history-tree invariants: BROKEN: %s\n"
-          (String.concat "; " errs))
+          (String.concat "; "
+             (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation) errs)))

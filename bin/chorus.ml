@@ -100,9 +100,11 @@ let fork n =
         n
         (float_of_int (Hw.Engine.now engine - t0) /. 1e6)
         stats.Core.Types.n_cow_copies stats.n_history_created
-        (match Core.Pvm.check_invariant site.Nucleus.Site.pvm with
+        (match Check.Sanitizer.run site.Nucleus.Site.pvm with
         | [] -> "OK"
-        | e -> String.concat "; " e))
+        | e ->
+          String.concat "; "
+            (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation) e)))
 
 let dsm n =
   in_sim (fun engine ->

@@ -223,9 +223,12 @@ let () =
               ~dst_off:0 ~size:(n_pages * ps) ());
           Printf.printf "-- %s\n" (pp_op op);
           dump_internals ();
-          match Core.Pvm.check_invariant pvm with
+          match Check.Sanitizer.run pvm with
           | [] -> ()
-          | errs -> Printf.printf "  INVARIANT: %s\n" (String.concat "; " errs))
+          | errs ->
+            Printf.printf "  INVARIANT: %s\n"
+              (String.concat "; "
+                 (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation) errs)))
         ops;
       dump "FINAL";
       (* teardown: everything must come back *)

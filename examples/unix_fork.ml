@@ -63,9 +63,11 @@ let () =
           "children exited; shell data: %S; invariants: %s\n"
           (Bytes.to_string
              (Mix.Process.read shell ~addr:Mix.Process.data_base ~len:7))
-          (match Core.Pvm.check_invariant pvm with
+          (match Check.Sanitizer.run pvm with
           | [] -> "OK"
-          | e -> String.concat "; " e)
+          | e ->
+            String.concat "; "
+              (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation) e))
       done;
 
       Printf.printf "\nsegment-manager statistics: binds=%d retention-hits=%d \

@@ -265,47 +265,6 @@ let rec depth_to_root (cache : cache) =
   | [] -> 0
   | f :: _ -> 1 + depth_to_root f.f_parent
 
-(* Structural invariant used by the property tests:
-   - fragment lists are well-formed;
-   - if [c_history = Some h] then some fragment of [h] names the cache
-     as parent;
-   - a cache that is not a working history object has at most one
-     child; a working one has at most two (binary tree);
-   - the parent relation is acyclic. *)
-let[@chorus.noted "invariant checks run between slices (property tests, sanitizers)"] check_invariant
-    pvm =
-  let errors = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  List.iter
-    (fun c ->
-      if c.c_alive then begin
-        if not (Parents.check_invariant c) then
-          err "cache %d: bad fragment list" c.c_id;
-        (match c.c_history with
-        | Some h ->
-          if not (List.exists (fun f -> f.f_parent == c) h.c_parents) then
-            err "cache %d: history %d has no fragment back" c.c_id h.c_id
-        | None -> ());
-        let n_children = List.length c.c_children in
-        let limit = if c.c_is_history then 2 else 1 in
-        if n_children > limit then
-          err "cache %d: %d children (limit %d)" c.c_id n_children limit;
-        (* acyclicity through every fragment (DFS with an on-stack
-           set; the visited set keeps DAGs linear) *)
-        let visited = Hashtbl.create 8 in
-        let rec climb stack node =
-          if List.memq node stack then
-            err "cache %d: cycle through %d" c.c_id node.c_id
-          else if not (Hashtbl.mem visited node.c_id) then begin
-            Hashtbl.replace visited node.c_id ();
-            List.iter (fun f -> climb (node :: stack) f.f_parent) node.c_parents
-          end
-        in
-        climb [] c
-      end)
-    pvm.caches;
-  !errors
-
 (* Pretty-print the history tree containing [cache] (for the Figure 3
    scenarios).  Pages are shown by page index within the segment, with
    [*] marking read-protected (grey in the paper's figure) frames. *)

@@ -177,7 +177,6 @@ let write pvm ctx ~addr bytes =
   in
   go 0
 
-let check_invariant pvm = History.check_invariant pvm
 let pp_history_tree = History.pp_tree
 
 let start_pageout_daemon ?(period = Hw.Sim_time.ms 20) pvm ~low_water

@@ -765,7 +765,7 @@ let worker eng p =
       in
       let pt = { pt_fib = task.fib; pt_clock = base } in
       Domain.DLS.set cur_ptask (Some pt);
-      if Obs.Trace.enabled eng.tracer then Obs.Trace.slice_begin eng.tracer;
+      Obs.Trace.slice_begin eng.tracer;
       (try task.run ()
        with ex ->
          Obs.Lockstat.lock p.p_stat p.p_lock;
@@ -778,9 +778,8 @@ let worker eng p =
       let finish = pt.pt_clock + shift in
       p.p_cpu.(cpu) <- finish;
       p.p_busy.(cpu) <- p.p_busy.(cpu) + (pt.pt_clock - base);
-      if Obs.Trace.enabled eng.tracer then
-        Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:(base + shift)
-          ~t1:finish ~shift;
+      Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:(base + shift)
+        ~t1:finish ~shift;
       p.p_running <- p.p_running - 1;
       if finish > p.p_horizon then p.p_horizon <- finish;
       lane.l_busy <- false;
@@ -807,18 +806,12 @@ let stop_workers eng workers =
 
 (* The one run loop.  The sequential engine is the coordinator with no
    pool: it skips the [p_lock], quiescence and worker steps.  A pool
-   engine additionally starts [p_domains] workers, records its trace
-   through per-domain shards (the null tracer ignores [set_sharded], so
-   disabled tracing stays a no-op), and ends at the pool's makespan if
-   that is later than the serial clock. *)
+   engine additionally starts [p_domains] workers and ends at the
+   pool's makespan if that is later than the serial clock. *)
 let run eng main =
-  (match eng.par with
-  | None -> ()
-  | Some _ ->
-    if Obs.Flight.enabled eng.flight then
-      invalid_arg
-        "Engine.run: the flight recorder requires the sequential engine";
-    Obs.Trace.set_sharded eng.tracer true);
+  if Option.is_some eng.par && Obs.Flight.enabled eng.flight then
+    invalid_arg
+      "Engine.run: the flight recorder requires the sequential engine";
   spawn eng main;
   let workers =
     match eng.par with

@@ -173,10 +173,10 @@ val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracing sink, wiring its clock to this engine's simulated
     time and its fibre source to {!current_fibre} (both slice-aware:
     inside a parallel slice they report the slice's virtual clock and
-    fibre).  Tracing works on both engines: the parallel engine
-    switches the tracer into domain-sharded mode at [run] and commits
-    each slice's events with its final CPU placement, so the merged
-    trace carries one extra track per simulated CPU. *)
+    fibre).  Both engines record through the tracer's per-domain
+    shards; the parallel engine also commits each slice's events with
+    its final CPU placement, so its merged trace carries one extra
+    track per simulated CPU. *)
 
 val flight : t -> Obs.Flight.t
 (** The flight recorder attached to this engine; {!Obs.Flight.null} —

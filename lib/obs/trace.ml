@@ -1,26 +1,19 @@
-(* Tracing sink: a ring buffer of typed events over an injected
-   simulated clock.  Everything here is deliberately dependency-free
-   (timestamps are plain ns integers) so that the hardware layer — the
-   discrete-event engine included — can depend on it.
+(* Tracing sink: per-domain ring buffers of typed records over an
+   injected simulated clock, dependency-free (timestamps are plain ns
+   integers) so that the hardware layer — the discrete-event engine
+   included — can depend on it.
 
-   Two recording modes share one tracer:
-
-   - the default single-ring mode, used by the sequential engine: one
-     ring, per-fibre open-span stacks, spans recorded complete at
-     close;
-
-   - the domain-sharded mode ([set_sharded], switched on by the
-     parallel engine): each domain records into its own DLS-local
-     shard, so recording never takes a lock and never races.  Inside a
-     pool slice the simulated-CPU placement and the final clock shift
-     of the slice are not known until the slice completes (the engine
-     assigns CPUs greedily at slice end), so slice events are staged
-     in a pending buffer and committed — shifted, plus one per-CPU
-     "slice" span — by {!slice_commit}.  Spans may begin in one slice
-     and end in another on a different domain (the fibre parked and
-     was resumed elsewhere), so shards store separate begin/end
-     records stamped with a global sequence number; {!merged_events}
-     pairs them per fibre in recording order at quiescence. *)
+   One recording path: each domain records into its own shard, found
+   in a per-tracer registry keyed by [Domain.self ()], so recording
+   never locks or races; the sequential engine is one shard that is
+   never inside a slice.  A pool slice's CPU placement and clock shift
+   are known only once it completes (the engine assigns CPUs greedily
+   at slice end), so slice records are staged and then committed —
+   shifted, plus one per-CPU "slice" span — by {!slice_commit}.  A span
+   may begin and end on different domains (the fibre parked and was
+   resumed elsewhere), so shards store separate begin/end records
+   stamped with a global sequence number, and {!events} pairs them per
+   fibre at quiescence. *)
 
 type value = Int of int | Str of string
 type args = (string * value) list
@@ -60,24 +53,15 @@ type t = {
   mutable enabled : bool;
   mutable clock : unit -> int;
   mutable fibre : unit -> int;
-  mutable buf : event array;
-  mutable start : int; (* index of the oldest event *)
-  mutable len : int;
-  mutable dropped : int;
-  (* per-fibre stacks of open spans: (name, cat, begin ts) *)
-  open_spans : (int, (string * string * int) list ref) Hashtbl.t;
   fibre_names : (int, string) Hashtbl.t;
   names_lock : Mutex.t; (* fibres spawn from worker domains too *)
-  (* domain-sharded mode *)
-  mutable sharded : bool;
   seq : int Atomic.t;
-  shards_lock : Mutex.t; (* guards shard_list registration *)
-  mutable shard_list : shard list;
-  shard_key : shard option Domain.DLS.key;
+  (* one shard per recording domain, newest first; shards die with the
+     tracer (no domain-local state keeps them) *)
+  shards : (Domain.id * shard) list Atomic.t;
 }
 
-let filler = Counter { name = ""; ts = 0; value = 0 }
-let raw_filler = R_done { r_seq = 0; ev = filler }
+let raw_filler = R_done { r_seq = 0; ev = Counter { name = ""; ts = 0; value = 0 } }
 
 let create ?(capacity = 262_144) () =
   {
@@ -85,18 +69,10 @@ let create ?(capacity = 262_144) () =
     enabled = false;
     clock = (fun () -> 0);
     fibre = (fun () -> 0);
-    buf = [||];
-    start = 0;
-    len = 0;
-    dropped = 0;
-    open_spans = Hashtbl.create 16;
     fibre_names = Hashtbl.create 16;
     names_lock = Mutex.create ();
-    sharded = false;
     seq = Atomic.make 1;
-    shards_lock = Mutex.create ();
-    shard_list = [];
-    shard_key = Domain.DLS.new_key (fun () -> None);
+    shards = Atomic.make [];
   }
 
 (* Capacity 0 makes [enable] a no-op: the null sink can never record. *)
@@ -105,24 +81,16 @@ let null = create ~capacity:0 ()
 let enabled t = t.enabled
 let enable t = if t.capacity > 0 then t.enabled <- true
 let disable t = t.enabled <- false
-let set_sharded t on = if t.capacity > 0 then t.sharded <- on
-let sharded t = t.sharded
 
 let clear t =
-  t.start <- 0;
-  t.len <- 0;
-  t.dropped <- 0;
-  Hashtbl.reset t.open_spans;
-  Mutex.lock t.shards_lock;
   List.iter
-    (fun s ->
+    (fun (_, s) ->
       s.sh_start <- 0;
       s.sh_len <- 0;
       s.sh_dropped <- 0;
       s.sh_pend_len <- 0;
       s.sh_in_slice <- false)
-    t.shard_list;
-  Mutex.unlock t.shards_lock
+    (Atomic.get t.shards)
 
 let set_clock t clock = t.clock <- clock
 let set_fibre t fibre = t.fibre <- fibre
@@ -134,22 +102,15 @@ let name_fibre t fib name =
     Mutex.unlock t.names_lock
   end
 
-let push t ev =
-  if t.buf = [||] then t.buf <- Array.make t.capacity filler;
-  if t.len < t.capacity then begin
-    t.buf.((t.start + t.len) mod t.capacity) <- ev;
-    t.len <- t.len + 1
-  end
-  else begin
-    t.buf.(t.start) <- ev;
-    t.start <- (t.start + 1) mod t.capacity;
-    t.dropped <- t.dropped + 1
-  end
-
 (* --- Shards ------------------------------------------------------- *)
 
-let my_shard t =
-  match Domain.DLS.get t.shard_key with
+(* The calling domain's shard, registered on its first record.  Only
+   the owning domain ever adds its own entry, so a lost CAS race (with
+   another domain registering) just retries. *)
+let rec my_shard t =
+  let self = Domain.self () in
+  let registry = Atomic.get t.shards in
+  match List.assq_opt self registry with
   | Some s -> s
   | None ->
     let s =
@@ -163,11 +124,8 @@ let my_shard t =
         sh_in_slice = false;
       }
     in
-    Mutex.lock t.shards_lock;
-    t.shard_list <- s :: t.shard_list;
-    Mutex.unlock t.shards_lock;
-    Domain.DLS.set t.shard_key (Some s);
-    s
+    if Atomic.compare_and_set t.shards registry ((self, s) :: registry) then s
+    else my_shard t
 
 (* Ring insert into the owning domain's shard: no locks, no
    allocation (the ring array is lazily created once). *)
@@ -185,11 +143,12 @@ let[@chorus.hot] [@chorus.alloc_ok
     s.sh_dropped <- s.sh_dropped + 1
   end
 
-(* Stage or commit one record on the current domain's shard: pending
+(* Stage or commit one record on the calling domain's shard: pending
    while inside a pool slice (the slice's clock shift is unknown until
-   it completes), straight to the ring otherwise (coordinator work and
-   post-run records need no shift). *)
-let[@chorus.hot] shard_record t s r =
+   it completes), straight to the ring otherwise (sequential, coordinator
+   and post-run records need no shift). *)
+let[@chorus.hot] record t r =
+  let s = my_shard t in
   if s.sh_in_slice then begin
     if s.sh_pend_len >= t.capacity then s.sh_dropped <- s.sh_dropped + 1
     else begin
@@ -225,7 +184,7 @@ let shift_raw shift r =
 
 (* Engine hooks around one pool slice (worker domains only). *)
 
-let slice_begin t = if t.enabled && t.sharded then (my_shard t).sh_in_slice <- true
+let slice_begin t = if t.enabled then (my_shard t).sh_in_slice <- true
 
 (* Commit the slice that just completed on this domain: the engine has
    placed it on simulated CPU [cpu] over [t0, t1] and shifted its
@@ -233,7 +192,7 @@ let slice_begin t = if t.enabled && t.sharded then (my_shard t).sh_in_slice <- t
    with their clocks made final, plus one per-CPU "slice" span (cat
    ["cpu"]) that builds the CPU tracks of the merged timeline. *)
 let slice_commit t ~cpu ~fib ~t0 ~t1 ~shift =
-  if t.enabled && t.sharded then begin
+  if t.enabled then begin
     let s = my_shard t in
     s.sh_in_slice <- false;
     let n = s.sh_pend_len in
@@ -262,40 +221,16 @@ let slice_commit t ~cpu ~fib ~t0 ~t1 ~shift =
 
 (* --- Recording entry points --------------------------------------- *)
 
-let stack_of tbl fib =
-  match Hashtbl.find_opt tbl fib with
-  | Some s -> s
-  | None ->
-    let s = ref [] in
-    Hashtbl.replace tbl fib s;
-    s
-
 let span_begin t ?(cat = "") name =
   if t.enabled then
-    if t.sharded then
-      shard_record t (my_shard t)
-        (R_begin
-           { r_seq = next_seq t; name; cat; ts = t.clock (); fib = t.fibre () })
-    else begin
-      let fib = t.fibre () in
-      let stack = stack_of t.open_spans fib in
-      stack := (name, cat, t.clock ()) :: !stack
-    end
+    record t
+      (R_begin
+         { r_seq = next_seq t; name; cat; ts = t.clock (); fib = t.fibre () })
 
 let span_end ?(args = []) t =
   if t.enabled then
-    if t.sharded then
-      shard_record t (my_shard t)
-        (R_end { r_seq = next_seq t; ts = t.clock (); fib = t.fibre (); args })
-    else begin
-      let fib = t.fibre () in
-      let stack = stack_of t.open_spans fib in
-      match !stack with
-      | [] -> () (* unbalanced end: tolerated, nothing to record *)
-      | (name, cat, ts) :: rest ->
-        stack := rest;
-        push t (Span { name; cat; ts; dur = t.clock () - ts; fib; args })
-    end
+    record t
+      (R_end { r_seq = next_seq t; ts = t.clock (); fib = t.fibre (); args })
 
 let with_span t ?cat name f =
   if not t.enabled then f ()
@@ -311,103 +246,126 @@ let with_span t ?cat name f =
   end
 
 let instant t ?(cat = "") ?(args = []) name =
-  if t.enabled then begin
-    let ev = Instant { name; cat; ts = t.clock (); fib = t.fibre (); args } in
-    if t.sharded then
-      shard_record t (my_shard t) (R_done { r_seq = next_seq t; ev })
-    else push t ev
-  end
+  if t.enabled then
+    record t
+      (R_done
+         {
+           r_seq = next_seq t;
+           ev = Instant { name; cat; ts = t.clock (); fib = t.fibre (); args };
+         })
 
 let counter t name value =
-  if t.enabled then begin
-    let ev = Counter { name; ts = t.clock (); value } in
-    if t.sharded then
-      shard_record t (my_shard t) (R_done { r_seq = next_seq t; ev })
-    else push t ev
-  end
+  if t.enabled then
+    record t
+      (R_done
+         { r_seq = next_seq t; ev = Counter { name; ts = t.clock (); value } })
 
 (* The cost-attribution fast path: one record per charged primitive
    inside the fault handlers. *)
 let[@chorus.hot] [@chorus.alloc_ok
                    "the cost record is the tracer's payload: one block per \
                     charged primitive, by design"] charge t ~prim ~span =
-  if t.enabled then begin
-    let ev =
-      Instant
-        {
-          name = prim;
-          cat = "cost";
-          ts = t.clock ();
-          fib = t.fibre ();
-          args = [ ("ns", Int span) ];
-        }
-    in
-    if t.sharded then
-      shard_record t (my_shard t) (R_done { r_seq = next_seq t; ev })
-    else push t ev
-  end
+  if t.enabled then
+    record t
+      (R_done
+         {
+           r_seq = next_seq t;
+           ev =
+             Instant
+               {
+                 name = prim;
+                 cat = "cost";
+                 ts = t.clock ();
+                 fib = t.fibre ();
+                 args = [ ("ns", Int span) ];
+               };
+         })
 
 (* --- Reading ------------------------------------------------------ *)
-
-let ring_events t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.capacity))
 
 let raw_seq = function
   | R_begin { r_seq; _ } | R_end { r_seq; _ } | R_done { r_seq; _ } -> r_seq
 
+(* Per-fibre stacks of open spans; fibre ids hash to themselves. *)
+module Fibres = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash fib = fib land max_int
+end)
+
 (* Merge the shard rings into complete events: all records in global
-   recording order, span begins and ends re-paired per fibre.  A begin
-   whose end was never recorded (still open, or lost) yields no span;
-   an end whose begin was overwritten in the ring is skipped — exactly
-   the tolerance the single-ring mode has for unbalanced ends. *)
-let merged_shard_events t =
-  Mutex.lock t.shards_lock;
-  let shards = t.shard_list in
-  Mutex.unlock t.shards_lock;
-  match shards with
-  | [] -> []
-  | _ ->
-    let raws =
-      List.concat_map
-        (fun s ->
-          List.init (s.sh_len + s.sh_pend_len) (fun i ->
-              if i < s.sh_len then s.sh_buf.((s.sh_start + i) mod t.capacity)
-              else s.sh_pend.(i - s.sh_len)))
-        shards
-      |> List.sort (fun a b -> compare (raw_seq a) (raw_seq b))
-    in
-    let stacks = Hashtbl.create 32 in
-    List.filter_map
-      (fun r ->
-        match r with
-        | R_done { ev; _ } -> Some ev
-        | R_begin { name; cat; ts; fib; _ } ->
-          let st = stack_of stacks fib in
-          st := (name, cat, ts) :: !st;
-          None
-        | R_end { ts; fib; args; _ } -> (
-          let st = stack_of stacks fib in
-          match !st with
-          | [] -> None
-          | (name, cat, ts0) :: rest ->
-            st := rest;
-            (* begin and end were shifted by their own slices'
-               placements, so clamp: a span that closed "before" it
-               opened collapses to an instant-like zero-width span *)
-            Some (Span { name; cat; ts = ts0; dur = max 0 (ts - ts0); fib; args })))
-      raws
+   recording order, span begins and ends re-paired per fibre.  Each
+   shard is already in recording order (its ring, then its staged
+   slice), so only several shards need sorting.  A begin whose end was
+   never recorded (still open, or lost) yields no span; an end with no
+   open begin on its fibre (unbalanced, or its begin was overwritten
+   in the ring) is skipped.  A span sits where it closed. *)
+let events t =
+  let shard_get s i =
+    if i < s.sh_len then s.sh_buf.((s.sh_start + i) mod t.capacity)
+    else s.sh_pend.(i - s.sh_len)
+  in
+  let n, get =
+    match Atomic.get t.shards with
+    | [ (_, s) ] -> (s.sh_len + s.sh_pend_len, shard_get s)
+    | shards ->
+      let raws =
+        Array.concat
+          (List.map
+             (fun (_, s) -> Array.init (s.sh_len + s.sh_pend_len) (shard_get s))
+             shards)
+      in
+      Array.stable_sort (fun a b -> Int.compare (raw_seq a) (raw_seq b)) raws;
+      (Array.length raws, Array.get raws)
+  in
+  (* forward: pair each end with the innermost open begin of its fibre *)
+  let opener = Array.make n (-1) in
+  let stacks = Fibres.create 32 in
+  let stack fib =
+    match Fibres.find_opt stacks fib with
+    | Some st -> st
+    | None ->
+      let st = ref [] in
+      Fibres.add stacks fib st;
+      st
+  in
+  for i = 0 to n - 1 do
+    match get i with
+    | R_begin { fib; _ } ->
+      let st = stack fib in
+      st := i :: !st
+    | R_end { fib; _ } -> (
+      let st = stack fib in
+      match !st with
+      | [] -> ()
+      | j :: rest ->
+        st := rest;
+        opener.(i) <- j)
+    | R_done _ -> ()
+  done;
+  (* backward: build the list, each span where it closed *)
+  let evs = ref [] in
+  for i = n - 1 downto 0 do
+    match get i with
+    | R_done { ev; _ } -> evs := ev :: !evs
+    | R_end { ts; fib; args; _ } when opener.(i) >= 0 -> (
+      match get opener.(i) with
+      | R_begin { name; cat; ts = ts0; _ } ->
+        (* begin and end were shifted by their own slices' placements,
+           so clamp: a span that closed "before" it opened collapses
+           to an instant-like zero-width span *)
+        evs :=
+          Span { name; cat; ts = ts0; dur = max 0 (ts - ts0); fib; args } :: !evs
+      | R_end _ | R_done _ -> () (* an opener is always a begin *))
+    | R_begin _ | R_end _ -> ()
+  done;
+  !evs
 
-let events t = ring_events t @ merged_shard_events t
+let length t = List.length (events t)
 
-let shard_totals t =
-  Mutex.lock t.shards_lock;
-  let shards = t.shard_list in
-  Mutex.unlock t.shards_lock;
-  List.fold_left
-    (fun (len, dropped) s -> (len + s.sh_len + s.sh_pend_len, dropped + s.sh_dropped))
-    (0, 0) shards
-
-let length t = t.len + fst (shard_totals t)
-let dropped t = t.dropped + snd (shard_totals t)
+let dropped t =
+  List.fold_left (fun n (_, s) -> n + s.sh_dropped) 0 (Atomic.get t.shards)
 
 (* --- Export ------------------------------------------------------- *)
 
@@ -460,8 +418,8 @@ let add_args buf args =
     args;
   Buffer.add_char buf '}'
 
-(* Events in category "cpu" (the per-slice placement spans of the
-   sharded mode) render as a second Chrome process whose threads are
+(* Events in category "cpu" (the per-slice placement spans of pool
+   slices) render as a second Chrome process whose threads are
    the simulated CPUs; everything else keeps pid 1 with one thread per
    fibre. *)
 let pid_of_cat cat = if cat = "cpu" then 2 else 1
@@ -515,7 +473,7 @@ let to_chrome_json t =
               fib);
          add_json_string buf name;
          Buffer.add_string buf "}}");
-  (* one track per simulated CPU, when the sharded mode recorded any *)
+  (* one track per simulated CPU, when pool slices recorded any *)
   let cpus =
     List.sort_uniq compare
       (List.filter_map
@@ -549,7 +507,7 @@ let to_chrome_json t =
   Buffer.add_string buf
     (Printf.sprintf
        "],\"otherData\":{\"droppedEvents\":%d,\"bufferedEvents\":%d}}\n"
-       (dropped t) (length t));
+       (dropped t) (List.length evs));
   Buffer.contents buf
 
 let pp_value ppf = function

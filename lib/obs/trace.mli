@@ -1,6 +1,6 @@
 (** Structured tracing over the simulated clock.
 
-    A tracer is an in-memory ring buffer of typed events — spans,
+    A tracer keeps in-memory ring buffers of typed events — spans,
     instants and counters — timestamped in integer nanoseconds of
     simulated time and attributed to the fibre that emitted them.  The
     clock and fibre sources are injected by the simulation engine
@@ -13,15 +13,16 @@
     default sink of every engine) records nothing and perturbs
     nothing.
 
-    On the parallel engine the tracer runs in a {e domain-sharded}
-    mode ({!set_sharded}): each domain records lock-free into its own
-    DLS-local shard, pool slices stage events until the engine commits
-    them with their final CPU placement and clock shift
-    ({!slice_commit}), and readers merge the shards at quiescence into
-    one timeline — complete spans re-paired per fibre even when a span
-    begins and ends on different domains, one extra track per
-    simulated CPU (category ["cpu"]), and {!dropped} summed across
-    shards.
+    Recording has one path.  Each domain records lock-free into its
+    own shard, found in a per-tracer registry keyed by the domain (so
+    the shards die with the tracer); the sequential engine records into
+    one shard that is never inside a slice.  On the parallel engine,
+    pool slices stage their records until the engine commits them with
+    their final CPU placement and clock shift ({!slice_commit}).
+    Readers merge the shards at quiescence into one timeline: complete
+    spans re-paired per fibre even when a span begins and ends on
+    different domains, one extra track per simulated CPU (category
+    ["cpu"]) when pool slices ran, and {!dropped} summed across shards.
 
     Captured traces export to Chrome [trace_event] JSON — loadable in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto} — and
@@ -45,9 +46,10 @@ type event =
 type t
 
 val create : ?capacity:int -> unit -> t
-(** A fresh, disabled tracer.  [capacity] bounds the ring buffer
-    (default 262144 events); once full, the oldest events are
-    overwritten and counted in {!dropped}. *)
+(** A fresh, disabled tracer.  [capacity] bounds each shard's ring
+    buffer (default 262144 records; a span takes two, one at each
+    end); once full, the oldest records are overwritten and counted in
+    {!dropped}. *)
 
 val null : t
 (** The shared never-enabled sink: {!enable} on it is a no-op, so
@@ -59,20 +61,13 @@ val disable : t -> unit
 val clear : t -> unit
 
 val length : t -> int
-(** Buffered records, all shards included. *)
+(** The number of merged events, i.e. [List.length (events t)]. *)
 
 val dropped : t -> int
-(** Events overwritten because a ring buffer was full, summed over all
-    shards in the sharded mode. *)
+(** Records overwritten because a shard's ring buffer was full, summed
+    over all shards. *)
 
-(** {1 Domain-sharded recording (parallel engine)} *)
-
-val set_sharded : t -> bool -> unit
-(** Switch the domain-sharded recording mode on or off.  The parallel
-    engine switches it on for its tracer at the start of a run; user
-    code normally never calls this. *)
-
-val sharded : t -> bool
+(** {1 Pool slices (parallel engine)} *)
 
 val slice_begin : t -> unit
 (** Engine hook: a pool slice starts on the calling domain; subsequent
@@ -96,11 +91,12 @@ val name_fibre : t -> int -> string -> unit
 (** Label a fibre id; exported as Chrome [thread_name] metadata. *)
 
 val span_begin : t -> ?cat:string -> string -> unit
-(** Open a span on the current fibre's span stack. *)
+(** Open a span on the current fibre. *)
 
 val span_end : ?args:args -> t -> unit
-(** Close the innermost open span of the current fibre, recording one
-    {!event.Span} with its begin timestamp and duration.  [args] are
+(** Close the innermost open span of the current fibre; {!events}
+    yields it as one {!event.Span} with its begin timestamp and
+    duration.  [args] are
     attached at close time (e.g. a fault's resolution kind, known only
     once resolved). *)
 
@@ -117,23 +113,23 @@ val charge : t -> prim:string -> span:int -> unit
     as argument, at the simulated instant the charge begins. *)
 
 val events : t -> event list
-(** Buffered events, oldest first (recording order; spans are recorded
-    when they close).  In the sharded mode this merges all shards at
-    the call: records are replayed in global recording order and span
-    begin/end pairs are re-joined per fibre, so a span that parked on
-    one domain and closed on another still comes out as one complete
-    {!event.Span}.  Unmatched halves (lost to ring overwrite, or still
-    open) are dropped, mirroring the single-ring tolerance for
-    unbalanced ends. *)
+(** The merged events, oldest first in recording order (spans are
+    placed where they close).  Merges all shards at the call: records
+    are replayed in global recording order and span begin/end pairs
+    are re-joined per fibre, so a span that parked on one domain and
+    closed on another still comes out as one complete {!event.Span}.
+    Unmatched halves (lost to ring overwrite, unbalanced, or still
+    open) yield nothing. *)
 
 val to_chrome_json : t -> string
-(** The whole buffer as Chrome [trace_event] JSON ([ts]/[dur] in
-    microseconds, as the format requires), events sorted by timestamp
-    with enclosing spans first.  The {!dropped} count is exported as
-    [otherData.droppedEvents]; nonzero means the trace is only a
-    suffix of the run.  Merged sharded traces add a second process
-    (pid 2, named "simulated CPUs") with one thread per simulated CPU
-    holding that CPU's slice spans. *)
+(** The merged {!events} as Chrome [trace_event] JSON ([ts]/[dur] in
+    microseconds, as the format requires), sorted by timestamp with
+    enclosing spans first.  The {!dropped} count is exported as
+    [otherData.droppedEvents] (nonzero means the trace is only a
+    suffix of the run) and {!length} as [otherData.bufferedEvents].
+    Traces with pool slices add a second process (pid 2, named
+    "simulated CPUs") with one thread per simulated CPU holding that
+    CPU's slice spans. *)
 
 val pp_text : Format.formatter -> t -> unit
 (** Compact text rendering, one event per line. *)

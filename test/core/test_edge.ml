@@ -187,8 +187,7 @@ let test_zombie_collection () =
         ~dst_off:0 ~size:(2 * ps) ();
       (* b dies while c still reads through it: becomes hidden *)
       Core.Cache.destroy pvm b;
-      Alcotest.(check (list string)) "invariants with zombie" []
-        (Core.Pvm.check_invariant pvm);
+      Check.Sanitizer.assert_ok ~label:"invariants with zombie" pvm;
       let rc =
         Core.Region.create pvm ctx ~addr:(16 * ps) ~size:(2 * ps)
           ~prot:Hw.Prot.read_write c ~offset:0
@@ -198,8 +197,7 @@ let test_zombie_collection () =
       (* c dies too: the whole hidden chain must be reclaimed *)
       Core.Region.destroy pvm rc;
       Core.Cache.destroy pvm c;
-      Alcotest.(check (list string)) "invariants after collection" []
-        (Core.Pvm.check_invariant pvm);
+      Check.Sanitizer.assert_ok ~label:"invariants after collection" pvm;
       (* only a's page frame remains *)
       Alcotest.(check int) "chain frames reclaimed" 1
         (Hw.Phys_mem.used_frames (Core.Pvm.memory pvm)))
@@ -274,8 +272,7 @@ let test_alternate_page_size () =
       Core.Pvm.write pvm ctx ~addr:ps4 (Bytes.of_string "DIVERGE");
       Alcotest.(check string) "4K COW snapshot" "straddle4"
         (Bytes.to_string (Core.Pvm.read pvm ctx ~addr:(64 * ps4 + ps4 - 3) ~len:9));
-      Alcotest.(check (list string)) "invariants at 4K" []
-        (Core.Pvm.check_invariant pvm))
+      Check.Sanitizer.assert_ok ~label:"invariants at 4K" pvm)
 
 (* The calibrated profile must satisfy the paper's §5.3.2
    decomposition identities. *)

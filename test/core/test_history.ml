@@ -25,7 +25,9 @@ let read_byte pvm ctx ~base ~page =
 
 let check_invariant pvm =
   Alcotest.(check (list string)) "history invariant" []
-    (Core.Pvm.check_invariant pvm)
+    (List.map
+       (Format.asprintf "%a" Check.Sanitizer.pp_violation)
+       (Check.Sanitizer.run pvm))
 
 let hist_copy pvm ~src ~dst ~pages =
   Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0

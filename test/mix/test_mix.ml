@@ -174,9 +174,8 @@ let test_shell_pattern () =
       Alcotest.(check string) "shell state correct after 8 children"
         "shell-state-8"
         (Bytes.to_string (Process.read shell ~addr:Process.data_base ~len:13));
-      Alcotest.(check (list string))
-        "history invariants hold" []
-        (Core.Pvm.check_invariant site.Nucleus.Site.pvm))
+      Check.Sanitizer.assert_ok ~label:"history invariants hold"
+        site.Nucleus.Site.pvm)
 
 (* Unix sbrk: heap growth, inheritance across fork, reset on exec. *)
 let test_sbrk () =

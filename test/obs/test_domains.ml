@@ -174,6 +174,35 @@ let test_seq_vs_par_span_counts () =
         n_seq n_par)
     seq par
 
+(* A tracer's rings belong to the tracer, not to the domains that
+   recorded into them: once a traced run's tracer is unreachable, its
+   rings must be collectable.  Eight 1-domain runs, each with a fresh
+   tracer whose rings hold 500k records (one word each), must leave
+   less than three rings' worth of words live. *)
+let test_rings_collectable () =
+  let capacity = 500_000 in
+  let traced_run () =
+    let tr = Obs.Trace.create ~capacity () in
+    Obs.Trace.enable tr;
+    let engine = Hw.Engine.create ~domains:1 () in
+    Hw.Engine.set_tracer engine tr;
+    let scen = Check.Crossval.storm ~workers:2 ~pages:4 ~rounds:1 () in
+    ignore (Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen))
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  for _ = 1 to 8 do
+    traced_run ()
+  done;
+  let grown = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< %d)" grown (3 * capacity))
+    true
+    (grown < 3 * capacity)
+
 (* ------------------------------------------------------------------ *)
 (* Fail-fast rejection of the serial-only checkers *)
 
@@ -276,6 +305,8 @@ let () =
             test_drops_summed;
           Alcotest.test_case "sequential vs 1-domain span counts" `Quick
             test_seq_vs_par_span_counts;
+          Alcotest.test_case "traced runs do not keep their rings" `Quick
+            test_rings_collectable;
         ] );
       ( "order-witnesses",
         [
