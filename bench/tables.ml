@@ -13,185 +13,60 @@
    Sun-3/60. *)
 
 open Util
+module Paper = Workloads.Paper
 
-let region_sizes = [ kb 8; kb 256; kb 1024 ]
 let row_labels = [ "8 Kb"; "256 Kb"; "1024 Kb" ]
-let col_pages = [ 0; 1; 32; 128 ]
 let col_labels = [ "0 Kb/0 pg"; "8 Kb/1 pg"; "256 Kb/32"; "1024 Kb/128" ]
 
-(* Paper Table 6 (ms). *)
-let paper_zero_chorus =
-  [| [| Some 0.350; Some 1.50; None; None |];
-     [| Some 0.352; Some 1.60; Some 36.6; None |];
-     [| Some 0.390; Some 1.63; Some 37.7; Some 145.9 |] |]
+(* One measured cell, on a fresh engine carrying the harness's
+   --tie-seed/--flight/--tracer/--domains settings. *)
+let zero_fill impl ~size ~pages =
+  in_sim (fun engine -> Paper.table6_cell impl engine ~size ~pages)
 
-let paper_zero_mach =
-  [| [| Some 1.57; Some 3.12; None; None |];
-     [| Some 1.81; Some 3.19; Some 46.8; None |];
-     [| Some 1.89; Some 3.26; Some 47.0; Some 180.8 |] |]
+let cow impl ~size ~pages =
+  in_sim (fun engine -> Paper.table7_cell impl engine ~size ~pages)
 
-(* Paper Table 7 (ms). *)
-let paper_cow_chorus =
-  [| [| Some 0.4; Some 2.10; None; None |];
-     [| Some 0.7; Some 2.47; Some 55.7; None |];
-     [| Some 2.4; Some 4.2; Some 57.2; Some 221.9 |] |]
-
-let paper_cow_mach =
-  [| [| Some 2.7; Some 4.82; None; None |];
-     [| Some 2.9; Some 5.12; Some 66.4; None |];
-     [| Some 3.08; Some 5.18; Some 67.0; Some 256.41 |] |]
-
-let iterations = 10
+(* The paper leaves a cell empty where the column touches more pages
+   than the region holds; so do we. *)
+let print_table ~title ~f ~paper impl =
+  let cell ri ci =
+    let size = List.nth Paper.region_sizes ri
+    and pages = List.nth Paper.col_pages ci in
+    Option.map (fun p -> (f impl ~size ~pages, p)) (paper impl).(ri).(ci)
+  in
+  print_matrix ~title ~rows:row_labels ~cols:col_labels ~cell
 
 (* --- Table 6: zero-filled allocation ------------------------------ *)
 
-let zero_fill_chorus ~size ~pages =
-  in_sim (fun engine ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let cache = Core.Cache.create pvm () in
-                   let region =
-                     Core.Region.create pvm ctx ~addr:0 ~size
-                       ~prot:Hw.Prot.read_write cache ~offset:0
-                   in
-                   for p = 0 to pages - 1 do
-                     Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-                   done;
-                   Core.Region.destroy pvm region;
-                   Core.Cache.destroy pvm cache)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
-
-let zero_fill_mach ~size ~pages =
-  in_sim (fun engine ->
-      let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-      let sp = Shadow.Shadow_vm.space_create vm in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let entry =
-                     Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size
-                       ~prot:Hw.Prot.read_write
-                   in
-                   for p = 0 to pages - 1 do
-                     Shadow.Shadow_vm.touch vm sp ~addr:(p * ps)
-                       ~access:`Write
-                   done;
-                   Shadow.Shadow_vm.entry_destroy vm entry)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
-
 let table6 () =
-  let cell ~f ~paper ri ci =
-    let size = List.nth region_sizes ri and pages = List.nth col_pages ci in
-    if pages * ps > size then None
-    else Some (f ~size ~pages, Option.value ~default:nan paper.(ri).(ci))
-  in
-  print_matrix
-    ~title:
-      "Table 6 -- Chorus: zero-filled memory allocation (region create, \
-       demand-allocate N pages, destroy)"
-    ~rows:row_labels ~cols:col_labels
-    ~cell:(cell ~f:zero_fill_chorus ~paper:paper_zero_chorus);
-  print_matrix ~title:"Table 6 -- Mach baseline: zero-filled memory allocation"
-    ~rows:row_labels ~cols:col_labels
-    ~cell:(cell ~f:zero_fill_mach ~paper:paper_zero_mach)
+  let print title = print_table ~title ~f:zero_fill ~paper:Paper.table6 in
+  print
+    "Table 6 -- Chorus: zero-filled memory allocation (region create, \
+     demand-allocate N pages, destroy)"
+    Paper.Chorus;
+  print "Table 6 -- Mach baseline: zero-filled memory allocation" Paper.Mach
 
 (* --- Table 7: copy-on-write --------------------------------------- *)
 
-let cow_chorus ~size ~pages =
-  in_sim (fun engine ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let src = Core.Cache.create pvm () in
-      let _src_region =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-          ~offset:0
-      in
-      (* the source region is created and entirely allocated before
-         starting the measurement *)
-      for p = 0 to (size / ps) - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      let copy_base = 0x4000_0000 in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let copy = Core.Cache.create pvm () in
-                   Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0
-                     ~dst:copy ~dst_off:0 ~size ();
-                   let region =
-                     Core.Region.create pvm ctx ~addr:copy_base ~size
-                       ~prot:Hw.Prot.read_write copy ~offset:0
-                   in
-                   (* modify data in the source to force real copies *)
-                   for p = 0 to pages - 1 do
-                     Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-                   done;
-                   Core.Region.destroy pvm region;
-                   Core.Cache.destroy pvm copy)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
-
-let cow_mach ~size ~pages =
-  in_sim (fun engine ->
-      let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-      let sp = Shadow.Shadow_vm.space_create vm in
-      let src =
-        Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-      in
-      for p = 0 to (size / ps) - 1 do
-        Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-      done;
-      let copy_base = 0x4000_0000 in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let copy =
-                     Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp
-                       ~dst_addr:copy_base
-                   in
-                   for p = 0 to pages - 1 do
-                     Shadow.Shadow_vm.touch vm sp ~addr:(p * ps)
-                       ~access:`Write
-                   done;
-                   Shadow.Shadow_vm.entry_destroy vm copy)))
-      in
-      ignore src;
-      ms_of_ns (int_of_float (mean samples)))
-
 let table7 () =
-  let cell ~f ~paper ri ci =
-    let size = List.nth region_sizes ri and pages = List.nth col_pages ci in
-    if pages * ps > size then None
-    else Some (f ~size ~pages, Option.value ~default:nan paper.(ri).(ci))
-  in
-  print_matrix
-    ~title:
-      "Table 7 -- Chorus: copy-on-write (deferred copy of an allocated \
-       region; N source pages then really copied)"
-    ~rows:row_labels ~cols:col_labels
-    ~cell:(cell ~f:cow_chorus ~paper:paper_cow_chorus);
-  print_matrix ~title:"Table 7 -- Mach baseline: copy-on-write"
-    ~rows:row_labels ~cols:col_labels
-    ~cell:(cell ~f:cow_mach ~paper:paper_cow_mach)
+  let print title = print_table ~title ~f:cow ~paper:Paper.table7 in
+  print
+    "Table 7 -- Chorus: copy-on-write (deferred copy of an allocated \
+     region; N source pages then really copied)"
+    Paper.Chorus;
+  print "Table 7 -- Mach baseline: copy-on-write" Paper.Mach
 
 (* --- §5.3 preliminaries -------------------------------------------- *)
 
 let prelim () =
   Printf.printf "\n§5.3 preliminaries (simulated, Sun-3/60 profile)\n";
   let profile = Hw.Cost.chorus_sun360 in
-  Printf.printf "  bcopy of 8 Kbytes: %.2f ms   (paper: 1.40 ms)\n"
-    (ms_of_ns profile.Hw.Cost.t_bcopy_page);
-  Printf.printf "  bzero of 8 Kbytes: %.2f ms   (paper: 0.87 ms)\n"
+  Printf.printf "  bcopy of 8 Kbytes: %.2f ms   (paper: %.2f ms)\n"
+    (ms_of_ns profile.Hw.Cost.t_bcopy_page)
+    Paper.bcopy_ms;
+  Printf.printf "  bzero of 8 Kbytes: %.2f ms   (paper: %.2f ms)\n"
     (ms_of_ns profile.Hw.Cost.t_bzero_page)
+    Paper.bzero_ms
 
 (* --- §5.3.2 derived overheads -------------------------------------- *)
 
@@ -200,136 +75,65 @@ let prelim () =
    under "derived", which diff.exe gates on. *)
 let derived () =
   Printf.printf "\n§5.3.2 derived overheads (measured vs paper)\n";
-  let z size pages = zero_fill_chorus ~size ~pages in
-  let c size pages = cow_chorus ~size ~pages in
-  let bzero = ms_of_ns Hw.Cost.chorus_sun360.Hw.Cost.t_bzero_page in
-  let bcopy = ms_of_ns Hw.Cost.chorus_sun360.Hw.Cost.t_bcopy_page in
-  (* simple on-demand page allocation: (t(128 pages) - t(0)) / 128 - bzero *)
-  let demand =
-    ((z (kb 1024) 128 -. z (kb 1024) 0) /. 128.) -. bzero
+  let overheads impl (cost : Hw.Cost.profile) =
+    let z size pages = zero_fill impl ~size ~pages in
+    let c size pages = cow impl ~size ~pages in
+    let bzero = ms_of_ns cost.Hw.Cost.t_bzero_page in
+    let bcopy = ms_of_ns cost.Hw.Cost.t_bcopy_page in
+    (* simple on-demand page allocation: (t(128 pages) - t(0)) / 128 - bzero *)
+    let demand = ((z (kb 1024) 128 -. z (kb 1024) 0) /. 128.) -. bzero in
+    (* per-page protection at deferred-copy time *)
+    let protect = (c (kb 1024) 0 -. c (kb 8) 0) /. 127. in
+    (* history tree (shadow object) setup *)
+    let tree = c (kb 8) 0 -. z (kb 8) 0 -. protect in
+    (* COW resolution overhead *)
+    let cow = ((c (kb 1024) 128 -. c (kb 1024) 0) /. 128.) -. bcopy in
+    let values =
+      [ ("demand-alloc", demand); ("protect", protect); ("tree-setup", tree);
+        ("cow", cow) ]
+    in
+    List.iter
+      (fun (name, measured) ->
+        Report.add_derived ~impl:(Paper.impl_name impl) ~name ~measured
+          ~paper:(Paper.derived impl name))
+      values;
+    fun name -> List.assoc name values
   in
-  Printf.printf
-    "  on-demand page allocation structure: %.3f ms/page (paper 0.27)\n"
-    demand;
-  (* per-page protection at deferred-copy time *)
-  let protect = (c (kb 1024) 0 -. c (kb 8) 0) /. 127. in
-  Printf.printf
-    "  deferred-copy source protection:     %.3f ms/page (paper ~0.016)\n"
-    protect;
-  (* history tree setup *)
-  let tree = c (kb 8) 0 -. z (kb 8) 0 -. protect in
-  Printf.printf
-    "  history tree management:             %.3f ms/copy (paper 0.03)\n" tree;
-  (* COW resolution overhead *)
-  let cow = ((c (kb 1024) 128 -. c (kb 1024) 0) /. 128.) -. bcopy in
-  Printf.printf
-    "  copy-on-write resolution structure:  %.3f ms/page (paper 0.31)\n" cow;
-  Report.add_derived ~impl:"chorus" ~name:"demand-alloc" ~measured:demand
-    ~paper:0.27;
-  Report.add_derived ~impl:"chorus" ~name:"protect" ~measured:protect
-    ~paper:0.016;
-  Report.add_derived ~impl:"chorus" ~name:"tree-setup" ~measured:tree
-    ~paper:0.03;
-  Report.add_derived ~impl:"chorus" ~name:"cow" ~measured:cow ~paper:0.31;
+  let chorus = overheads Paper.Chorus Hw.Cost.chorus_sun360 in
+  List.iter
+    (fun (label, name, per, approx) ->
+      Printf.printf "  %-36s %.3f ms/%s (paper %s%g)\n" (label ^ ":")
+        (chorus name) per approx
+        (Paper.derived Paper.Chorus name))
+    [
+      ("on-demand page allocation structure", "demand-alloc", "page", "");
+      ("deferred-copy source protection", "protect", "page", "~");
+      ("history tree management", "tree-setup", "copy", "");
+      ("copy-on-write resolution structure", "cow", "page", "");
+    ];
   (* the same formulas over the Mach baseline's matrices (paper values
      recomputed from its Tables 6/7 cells) *)
-  let zm size pages = zero_fill_mach ~size ~pages in
-  let cm size pages = cow_mach ~size ~pages in
-  let bzero_m = ms_of_ns Hw.Cost.mach_sun360.Hw.Cost.t_bzero_page in
-  let bcopy_m = ms_of_ns Hw.Cost.mach_sun360.Hw.Cost.t_bcopy_page in
-  let demand_m = ((zm (kb 1024) 128 -. zm (kb 1024) 0) /. 128.) -. bzero_m in
-  let protect_m = (cm (kb 1024) 0 -. cm (kb 8) 0) /. 127. in
-  let tree_m = cm (kb 8) 0 -. zm (kb 8) 0 -. protect_m in
-  let cow_m = ((cm (kb 1024) 128 -. cm (kb 1024) 0) /. 128.) -. bcopy_m in
+  let v = overheads Paper.Mach Hw.Cost.mach_sun360 in
+  let paper = Paper.derived Paper.Mach in
   Printf.printf
-    "  Mach: demand %.3f (0.528)  protect %.4f (0.003)  shadow setup %.3f \
-     (1.13)  cow %.3f (0.579)  [ms]\n"
-    demand_m protect_m tree_m cow_m;
-  Report.add_derived ~impl:"mach" ~name:"demand-alloc" ~measured:demand_m
-    ~paper:0.5277;
-  Report.add_derived ~impl:"mach" ~name:"protect" ~measured:protect_m
-    ~paper:0.003;
-  Report.add_derived ~impl:"mach" ~name:"tree-setup" ~measured:tree_m
-    ~paper:1.13;
-  Report.add_derived ~impl:"mach" ~name:"cow" ~measured:cow_m ~paper:0.5792
+    "  Mach: demand %.3f (%.3f)  protect %.4f (%.3f)  shadow setup %.3f \
+     (%.2f)  cow %.3f (%.3f)  [ms]\n"
+    (v "demand-alloc") (paper "demand-alloc") (v "protect") (paper "protect")
+    (v "tree-setup") (paper "tree-setup") (v "cow") (paper "cow")
 
 (* --- per-primitive attribution ------------------------------------- *)
 
-(* One 1024 Kb / 128-page zero-fill cycle plus one deferred-copy + COW
-   cycle per implementation; the always-on metrics registry supplies
-   the per-primitive counts and simulated time.  Recorded into
-   {!Report} under "primitives" (informational: diff.exe warns on
-   drift but does not fail). *)
+(* The §5.3.2 decomposition cycle per implementation; the always-on
+   metrics registry supplies the per-primitive counts and simulated
+   time.  Recorded into {!Report} under "primitives" (informational:
+   diff.exe warns on drift but does not fail). *)
 let primitives () =
-  let size = kb 1024 and pages = 128 in
-  let chorus_report =
+  let report impl =
     in_sim (fun engine ->
-        let pvm = Core.Pvm.create ~frames:600 ~engine () in
-        let ctx = Core.Context.create pvm in
-        let cache = Core.Cache.create pvm () in
-        let region =
-          Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-            cache ~offset:0
-        in
-        for p = 0 to pages - 1 do
-          Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-        done;
-        Core.Region.destroy pvm region;
-        Core.Cache.destroy pvm cache;
-        let src = Core.Cache.create pvm () in
-        let src_region =
-          Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-            src ~offset:0
-        in
-        for p = 0 to (size / ps) - 1 do
-          Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-        done;
-        let copy = Core.Cache.create pvm () in
-        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy
-          ~dst_off:0 ~size ();
-        let copy_region =
-          Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-            ~prot:Hw.Prot.read_write copy ~offset:0
-        in
-        for p = 0 to pages - 1 do
-          Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-        done;
-        Core.Region.destroy pvm copy_region;
-        Core.Cache.destroy pvm copy;
-        Core.Region.destroy pvm src_region;
-        Core.Cache.destroy pvm src;
-        Obs.Metrics.prim_report (Core.Pvm.metrics pvm))
+        Obs.Metrics.prim_report (Paper.metrics (Paper.decomp impl engine)))
   in
-  let mach_report =
-    in_sim (fun engine ->
-        let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-        let sp = Shadow.Shadow_vm.space_create vm in
-        let e =
-          Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size
-            ~prot:Hw.Prot.read_write
-        in
-        for p = 0 to pages - 1 do
-          Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-        done;
-        Shadow.Shadow_vm.entry_destroy vm e;
-        let src =
-          Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size
-            ~prot:Hw.Prot.read_write
-        in
-        for p = 0 to (size / ps) - 1 do
-          Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-        done;
-        let copy =
-          Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp
-            ~dst_addr:0x4000_0000
-        in
-        for p = 0 to pages - 1 do
-          Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-        done;
-        Shadow.Shadow_vm.entry_destroy vm copy;
-        Shadow.Shadow_vm.entry_destroy vm src;
-        Obs.Metrics.prim_report (Shadow.Shadow_vm.metrics vm))
-  in
+  let chorus_report = report Paper.Chorus in
+  let mach_report = report Paper.Mach in
   Printf.printf
     "\nPer-primitive attribution (1024 Kb / 128-page zero-fill + COW cycle)\n";
   let print label report =

@@ -28,6 +28,7 @@
    examples/. *)
 
 open Cmdliner
+open Workloads
 
 let ps = 8192
 
@@ -51,56 +52,26 @@ let print_info () =
 
 let fig3 () =
   in_sim (fun engine ->
-      let pvm = Core.Pvm.create ~frames:256 ~cost:Hw.Cost.free ~engine () in
-      let ctx = Core.Context.create pvm in
-      let mk base =
-        let cache = Core.Cache.create pvm () in
-        let _ =
-          Core.Region.create pvm ctx ~addr:base ~size:(4 * ps)
-            ~prot:Hw.Prot.read_write cache ~offset:0
-        in
-        cache
-      in
-      let src = mk 0 and cpy1 = mk (1024 * ps) and cpy2 = mk (2048 * ps) in
-      Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps '1');
-      let copy dst =
-        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst
-          ~dst_off:0 ~size:(4 * ps) ()
-      in
-      copy cpy1;
-      Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps 'X');
-      copy cpy2;
+      let _, _, src = Scenarios.fig3_tree engine ~register:ignore in
       Format.printf "%a@." Core.Pvm.pp_history_tree src)
 
 let fork n =
   in_sim (fun engine ->
-      let site = Nucleus.Site.create ~frames:2048 ~engine () in
-      let images = Mix.Image.create_store site in
-      let _ =
-        Mix.Image.add_image images ~name:"sh"
-          ~text:(Bytes.make (4 * ps) 'T')
-          ~data:(Bytes.make (4 * ps) 'D')
-          ()
+      let site, m, shell =
+        Scenarios.fork_shell engine ~register:ignore
       in
-      let m = Mix.Process.create_manager site images in
-      let shell = Mix.Process.spawn_init m ~image:"sh" in
-      Core.Pvm.reset_stats site.Nucleus.Site.pvm;
+      let pvm = site.Nucleus.Site.pvm in
+      Core.Pvm.reset_stats pvm;
       let t0 = Hw.Engine.now engine in
-      for i = 1 to n do
-        let child = Mix.Process.fork m shell in
-        Mix.Process.write shell ~addr:Mix.Process.data_base
-          (Bytes.make 32 (Char.chr (65 + (i mod 26))));
-        Mix.Process.exit_ m child ~status:0;
-        ignore (Mix.Process.wait m shell)
-      done;
-      let stats = Core.Pvm.stats site.Nucleus.Site.pvm in
+      Scenarios.fork_rounds m shell n;
+      let stats = Core.Pvm.stats pvm in
       Printf.printf
         "%d fork/exit rounds: %.2f sim-ms, %d pages really copied, %d \
          history objects, invariants %s\n"
         n
         (float_of_int (Hw.Engine.now engine - t0) /. 1e6)
         stats.Core.Types.n_cow_copies stats.n_history_created
-        (match Check.Sanitizer.run site.Nucleus.Site.pvm with
+        (match Check.Sanitizer.run pvm with
         | [] -> "OK"
         | e ->
           String.concat "; "
@@ -108,27 +79,9 @@ let fork n =
 
 let dsm n =
   in_sim (fun engine ->
-      let seg =
-        Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(4 * ps)
-          ~page_size:ps ()
-      in
-      let mk () =
-        let pvm = Core.Pvm.create ~frames:32 ~engine () in
-        let site = Dsm.Coherent.attach seg pvm in
-        let ctx = Core.Context.create pvm in
-        let _ =
-          Core.Region.create pvm ctx ~addr:0 ~size:(4 * ps)
-            ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
-        in
-        (pvm, ctx)
-      in
-      let a = mk () and b = mk () in
+      let seg, a, b = Scenarios.dsm_sites engine ~register:ignore in
       let t0 = Hw.Engine.now engine in
-      for i = 1 to n do
-        let pvm, ctx = if i mod 2 = 0 then a else b in
-        Core.Pvm.write pvm ctx ~addr:0
-          (Bytes.of_string (Printf.sprintf "round-%d" i))
-      done;
+      Scenarios.dsm_writes a b n;
       let stats = Dsm.Coherent.stats seg in
       Printf.printf
         "%d alternating writes: %.1f sim-ms, %d transfers, %d \
@@ -154,171 +107,18 @@ let inspect () =
       Format.printf "%a@.@.%a@." Core.Inspect.pp_state pvm
         Core.Inspect.pp_context ctx)
 
-(* Scenarios shared by the trace, stats, check, explore, replay and
-   crossval subcommands: the same workloads as the interactive
-   commands above, but quiet, and under the calibrated Sun-3/60
-   profile (the [create] default) so spans carry durations and the
-   per-primitive attribution is populated.  Each calls [register] with
-   every PVM as soon as it exists, so the check subcommand's per-event
-   sweep can watch instances while the scenario is still running, and
-   observes the concatenated Inspect digests. *)
+(* Every subcommand resolves its scenario here, in the one table
+   Workloads.Scenarios. *)
+let scenario_names =
+  String.concat ", "
+    (List.map (fun s -> s.Check.Explore.name) Scenarios.all)
 
-let scenario_fig3 engine ~register =
-  let pvm = Core.Pvm.create ~frames:256 ~engine () in
-  register pvm;
-  let ctx = Core.Context.create pvm in
-  let mk base =
-    let cache = Core.Cache.create pvm () in
-    let _ =
-      Core.Region.create pvm ctx ~addr:base ~size:(4 * ps)
-        ~prot:Hw.Prot.read_write cache ~offset:0
-    in
-    cache
-  in
-  let src = mk 0 and cpy1 = mk (1024 * ps) and cpy2 = mk (2048 * ps) in
-  Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps '1');
-  let copy dst =
-    Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-      ~size:(4 * ps) ()
-  in
-  copy cpy1;
-  Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps 'X');
-  copy cpy2;
-  Core.Pvm.write pvm ctx ~addr:(1024 * ps) (Bytes.make ps 'c');
-  Check.Explore.observe_digests [ pvm ]
-
-let scenario_fork engine ~register =
-  let site = Nucleus.Site.create ~frames:2048 ~engine () in
-  register site.Nucleus.Site.pvm;
-  let images = Mix.Image.create_store site in
-  let _ =
-    Mix.Image.add_image images ~name:"sh"
-      ~text:(Bytes.make (4 * ps) 'T')
-      ~data:(Bytes.make (4 * ps) 'D')
-      ()
-  in
-  let m = Mix.Process.create_manager site images in
-  let shell = Mix.Process.spawn_init m ~image:"sh" in
-  for i = 1 to 4 do
-    let child = Mix.Process.fork m shell in
-    Mix.Process.write shell ~addr:Mix.Process.data_base
-      (Bytes.make 32 (Char.chr (65 + (i mod 26))));
-    Mix.Process.exit_ m child ~status:0;
-    ignore (Mix.Process.wait m shell)
-  done;
-  Check.Explore.observe_digests [ site.Nucleus.Site.pvm ]
-
-let scenario_dsm engine ~register =
-  let seg =
-    Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(4 * ps)
-      ~page_size:ps ()
-  in
-  let mk () =
-    let pvm = Core.Pvm.create ~frames:32 ~engine () in
-    register pvm;
-    let site = Dsm.Coherent.attach seg pvm in
-    let ctx = Core.Context.create pvm in
-    let _ =
-      Core.Region.create pvm ctx ~addr:0 ~size:(4 * ps)
-        ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
-    in
-    (pvm, ctx)
-  in
-  let a = mk () and b = mk () in
-  for i = 1 to 10 do
-    let pvm, ctx = if i mod 2 = 0 then a else b in
-    Core.Pvm.write pvm ctx ~addr:0
-      (Bytes.of_string (Printf.sprintf "round-%d" i))
-  done;
-  Check.Explore.observe_digests [ fst a; fst b ]
-
-let scenario_ipc engine ~register =
-  let site = Nucleus.Site.create ~frames:256 ~engine () in
-  register site.Nucleus.Site.pvm;
-  let transit = Nucleus.Transit.create site ~slots:4 () in
-  let sender = Nucleus.Actor.create site in
-  let receiver = Nucleus.Actor.create site in
-  let _ =
-    Nucleus.Actor.rgn_allocate sender ~addr:0 ~size:(16 * ps)
-      ~prot:Hw.Prot.read_write
-  in
-  let _ =
-    Nucleus.Actor.rgn_allocate receiver ~addr:0 ~size:(16 * ps)
-      ~prot:Hw.Prot.read_write
-  in
-  let endpoint = Nucleus.Ipc.make_endpoint () in
-  Nucleus.Actor.write sender ~addr:0 (Bytes.make (4 * ps) 'i');
-  for _ = 1 to 4 do
-    Nucleus.Ipc.send sender transit ~dst:endpoint ~addr:0 ~len:(4 * ps);
-    ignore (Nucleus.Ipc.receive receiver transit endpoint ~addr:0)
-  done;
-  Check.Explore.observe_digests [ site.Nucleus.Site.pvm ]
-
-(* Several fibres hammering overlapping pages of one cache through a
-   frame pool too small to hold them, over a swap store with real seek
-   latency: every fault may find its page mid-pullIn or mid-pushOut on
-   another fibre, which is exactly the §3.3.3 blocking discipline the
-   harness perturbs and checks.  Written for the check subcommand but
-   usable with trace/stats too. *)
-let scenario_contend engine ~register =
-  let site =
-    Nucleus.Site.create ~frames:6 ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm in
-  register pvm;
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let pages = 8 in
-  let _ =
-    Core.Region.create pvm ctx ~addr:0 ~size:(pages * ps)
-      ~prot:Hw.Prot.read_write cache ~offset:0
-  in
-  for f = 0 to 3 do
-    Hw.Engine.spawn engine ~name:(Printf.sprintf "worker-%d" f) (fun () ->
-        for round = 0 to 5 do
-          for i = 0 to pages - 1 do
-            let page = (i + f + round) mod pages in
-            Core.Pvm.write pvm ctx
-              ~addr:((page * ps) + (f * 64))
-              (Bytes.make 16 (Char.chr (65 + f)));
-            ignore
-              (Core.Pvm.read pvm ctx
-                 ~addr:((page + (pages / 2)) mod pages * ps)
-                 ~len:8)
-          done
-        done)
-  done;
-  Check.Explore.observe_digests [ pvm ]
-
-(* [Schedule_independent] marks scenarios whose observable outcome must
-   not depend on the schedule: single logical thread of control, so
-   the check subcommand compares stats across seeds byte-for-byte.
-   [contend] is excluded — its racing writers legitimately interleave
-   differently per schedule, and only the safety properties (invariant
-   sweep, blocking discipline) are schedule-independent.  [storm] is
-   the contended many-context fault workload shared with crossval and
-   the throughput benchmark — the one scenario whose workers carry
-   non-zero affinities, so with --domains it genuinely exercises the
-   pool (the others are serial-class programs). *)
-let scenarios =
-  let mk name run oracle = { Check.Explore.name; run; oracle } in
-  Check.Explore.
-    [
-      mk "fig3" scenario_fig3 Schedule_independent;
-      mk "fork" scenario_fork Schedule_independent;
-      mk "dsm" scenario_dsm Schedule_independent;
-      mk "ipc" scenario_ipc Schedule_independent;
-      mk "contend" scenario_contend No_oracle;
-      Check.Crossval.storm ();
-    ]
-
-let find_scenario among name =
-  match List.find_opt (fun s -> s.Check.Explore.name = name) among with
+let find_scenario name =
+  match Scenarios.find name with
   | Some s -> s
   | None ->
     Printf.eprintf "chorus: unknown scenario '%s' (available: %s)\n" name
-      (String.concat ", " (List.map (fun s -> s.Check.Explore.name) among));
+      scenario_names;
     exit 2
 
 let write_file ~cmd file contents =
@@ -358,7 +158,7 @@ let trace scenario out flight_out domains =
        not produce)\n";
     exit 2
   end;
-  let scen = find_scenario scenarios scenario in
+  let scen = find_scenario scenario in
   let tr = Obs.Trace.create () in
   let engine = Hw.Engine.create ?domains () in
   Hw.Engine.set_tracer engine tr;
@@ -393,7 +193,7 @@ let trace scenario out flight_out domains =
 
 let stats scenario json_out domains =
   let domains = check_domains ~cmd:"stats" domains in
-  let scen = find_scenario scenarios scenario in
+  let scen = find_scenario scenario in
   let engine = Hw.Engine.create ?domains () in
   let tr = Obs.Trace.create () in
   Hw.Engine.set_tracer engine tr;
@@ -426,15 +226,16 @@ let stats scenario json_out domains =
   | None -> ()
   | Some file ->
     let doc =
-      Printf.sprintf "{\"schema\":\"chorus-stats/1\",\"pvms\":[%s]}\n"
-        (String.concat ","
-           (List.map (fun pvm -> Obs.Metrics.to_json (Core.Pvm.metrics pvm))
-              pvms))
+      Obs.Json.Obj
+        [
+          ("schema", Obs.Json.Str "chorus-stats/1");
+          ( "pvms",
+            Obs.Json.List
+              (List.map (fun pvm -> Obs.Metrics.to_json (Core.Pvm.metrics pvm))
+                 pvms) );
+        ]
     in
-    (try Out_channel.with_open_text file (fun oc -> output_string oc doc)
-     with Sys_error msg ->
-       Printf.eprintf "chorus stats: %s\n" msg;
-       exit 1);
+    write_file ~cmd:"stats" file (Obs.Json.to_string doc ^ "\n");
     Printf.printf "wrote %s\n" file
 
 (* chorus profile SCENARIO: capture a trace of the scenario, fold it
@@ -442,11 +243,11 @@ let stats scenario json_out domains =
    including the derived §5.3.2 decomposition and an Inspect-based
    residency/pressure snapshot of every PVM the scenario built.
 
-   The synthetic scenario [decomp] replays the Table 6 / Table 7 cell
-   shapes (1024 Kb region, 128 touched pages) under tracing for BOTH
-   implementations — Chorus PVM and the Mach-style shadow baseline, on
-   separate engines so their charges cannot mix — and checks each
-   derived decomposition against the paper's published numbers. *)
+   The synthetic scenario [decomp] runs the §5.3.2 decomposition cycle
+   (Paper.decomp) under tracing for BOTH implementations — Chorus PVM
+   and the Mach-style shadow baseline, on separate engines so their
+   charges cannot mix — and checks each derived decomposition against
+   the paper's published numbers. *)
 
 let run_traced ?flight_out f =
   let tr = Obs.Trace.create () in
@@ -460,91 +261,7 @@ let run_traced ?flight_out f =
   | _ -> ());
   (r, Obs.Profile.of_trace tr)
 
-(* One Table-6 cycle (zero-fill 128 pages of a 1024 Kb region) then
-   one Table-7 cycle (deferred copy, 128 source pages really copied),
-   everything torn down so teardown frees balance fault-time
-   allocations — the shapes bench/tables.ml measures. *)
-let decomp_pages = 128
-
-let decomp_size = 1024 * 1024
-
-let decomp_chorus engine =
-  let size = decomp_size and pages = decomp_pages in
-  let pvm = Core.Pvm.create ~frames:600 ~engine () in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm cache;
-  let src = Core.Cache.create pvm () in
-  let src_region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-      ~offset:0
-  in
-  for p = 0 to (size / ps) - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  let copy = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy ~dst_off:0
-    ~size ();
-  let copy_region =
-    Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-      ~prot:Hw.Prot.read_write copy ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm copy_region;
-  Core.Cache.destroy pvm copy;
-  Core.Region.destroy pvm src_region;
-  Core.Cache.destroy pvm src
-
-let decomp_mach engine =
-  let size = decomp_size and pages = decomp_pages in
-  let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-  let sp = Shadow.Shadow_vm.space_create vm in
-  let e =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm e;
-  let src =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to (size / ps) - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  let copy =
-    Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:0x4000_0000
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm copy;
-  Shadow.Shadow_vm.entry_destroy vm src
-
-(* The paper's §5.3.2 per-page / per-copy overheads (ms), including
-   the Mach equivalents recomputed from Tables 6/7 by the paper's own
-   formulas: demand = (t(1024K,128) - t(1024K,0))/128 - bzero;
-   cow = (c(1024K,128) - c(1024K,0))/128 - bcopy;
-   tree = c(8K,0) - z(8K,0); protect = (c(1024K,0) - c(8K,0))/127. *)
-let paper_chorus =
-  [ ("demand-alloc", 0.270); ("cow", 0.310); ("tree-setup", 0.030);
-    ("protect", 0.016) ]
-
-let paper_mach =
-  [ ("demand-alloc", 0.5277); ("cow", 0.5792); ("tree-setup", 1.130);
-    ("protect", 0.0030) ]
-
-let check_derived label (d : Obs.Profile.derived) paper =
+let check_derived label (d : Obs.Profile.derived) impl =
   Format.printf "@.%s — derived vs paper (§5.3.2):@." label;
   Format.printf
     "  %d zero-fill faults, %d COW faults, %d copies, teardown share %.4f \
@@ -553,7 +270,7 @@ let check_derived label (d : Obs.Profile.derived) paper =
     (d.teardown_share_ns /. 1e6);
   let worst = ref 0.0 in
   let row name per measured =
-    let paper_ms = List.assoc name paper in
+    let paper_ms = Paper.derived impl name in
     match measured with
     | None -> Format.printf "  %-14s (not exercised; paper %.4f)@." name paper_ms
     | Some ns ->
@@ -570,17 +287,18 @@ let check_derived label (d : Obs.Profile.derived) paper =
   !worst
 
 let profile_decomp folded json_out flight_out =
-  let (), chorus_prof = run_traced ?flight_out decomp_chorus in
-  let (), mach_prof = run_traced decomp_mach in
+  let decomp impl engine = ignore (Paper.decomp impl engine) in
+  let (), chorus_prof = run_traced ?flight_out (decomp Paper.Chorus) in
+  let (), mach_prof = run_traced (decomp Paper.Mach) in
   Format.printf "=== Chorus (PVM, history objects) ===@.%a@." Obs.Profile.pp
     chorus_prof;
   Format.printf "=== Mach baseline (shadow objects) ===@.%a@." Obs.Profile.pp
     mach_prof;
   let w1 =
-    check_derived "Chorus" (Obs.Profile.derive chorus_prof) paper_chorus
+    check_derived "Chorus" (Obs.Profile.derive chorus_prof) Paper.Chorus
   in
   let w2 =
-    check_derived "Mach baseline" (Obs.Profile.derive mach_prof) paper_mach
+    check_derived "Mach baseline" (Obs.Profile.derive mach_prof) Paper.Mach
   in
   Format.printf "@.worst deviation from paper: %.1f%% (threshold 5%%)@."
     (Float.max w1 w2);
@@ -620,7 +338,7 @@ let profile_decomp folded json_out flight_out =
 let profile scenario folded json_out flight_out =
   if String.equal scenario "decomp" then profile_decomp folded json_out flight_out
   else begin
-    let scen = find_scenario scenarios scenario in
+    let scen = find_scenario scenario in
     let pvms, prof =
       run_traced ?flight_out (fun engine -> Check.Explore.start engine scen)
     in
@@ -695,7 +413,7 @@ let content_digest engine pvms =
       Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let check scenario seeds every_event bundle_dir =
-  let scen = find_scenario scenarios scenario in
+  let scen = find_scenario scenario in
   let deterministic =
     match scen.Check.Explore.oracle with
     | Schedule_independent -> true
@@ -836,7 +554,9 @@ let check_order_witnesses ~label =
    deterministic by construction. *)
 let crossval domains =
   Obs.Lockstat.enable_witnessing ();
-  let outcomes = List.map (Check.Crossval.run_pair ~domains) scenarios in
+  let outcomes =
+    List.map (Check.Crossval.run_pair ~domains) Scenarios.workloads
+  in
   List.iter
     (fun o -> Format.printf "%a@." Check.Crossval.pp_outcome o)
     outcomes;
@@ -952,13 +672,11 @@ let bench domains workers pages rounds with_stats =
    serializations; the other scenarios assert their observable
    Inspect digest is schedule-independent. *)
 
-let explore_scenario = function
-  | "contend" -> Check.Explore.contend_model
-  | name -> find_scenario (Check.Explore.pressure :: scenarios) name
-
 let explore scenario bound max_schedules show_stats schedule_out inject
     bundle_dir =
-  let scen = explore_scenario scenario in
+  let scen =
+    find_scenario (if scenario = "contend" then "contend-model" else scenario)
+  in
   (match
      List.find_opt
        (fun n -> not (List.mem_assoc n Check.Forensics.injections))
@@ -1035,11 +753,7 @@ let replay_bundle path =
     Printf.eprintf "chorus replay: %s\n" msg;
     exit 2
   | Ok b ->
-    let scen =
-      find_scenario
-        (Check.Explore.contend_model :: Check.Explore.pressure :: scenarios)
-        b.Obs.Bundle.scenario
-    in
+    let scen = find_scenario b.Obs.Bundle.scenario in
     Printf.printf "replaying %s:\n  scenario %s, %d decisions%s, recorded \
                    failure %s at t=%s\n"
       path b.Obs.Bundle.scenario
@@ -1073,14 +787,16 @@ let scenario_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:"one of: fig3, fork, dsm, ipc, contend")
+    & info [] ~docv:"SCENARIO" ~doc:("one of: " ^ scenario_names))
 
 let explore_scenario_arg =
   Arg.(
     required
     & pos 0 (some string) None
     & info [] ~docv:"SCENARIO"
-        ~doc:"one of: fig3, fork, dsm, ipc, contend, pressure")
+        ~doc:
+          ("one of: " ^ scenario_names
+         ^ "; $(b,contend) names contend-model, its Model program"))
 
 let flight_arg cmd =
   Arg.(
@@ -1309,7 +1025,7 @@ let cmds =
             required
             & pos 0 (some string) None
             & info [] ~docv:"SCENARIO"
-                ~doc:"one of: fig3, fork, dsm, ipc, contend, decomp")
+                ~doc:("one of: " ^ scenario_names ^ ", decomp"))
         $ Arg.(
             value
             & opt (some string) None

@@ -33,16 +33,13 @@ let with_injections names f =
 
 (* --- Bundle assembly ---------------------------------------------- *)
 
-let metrics_json pvm =
-  (* Metrics.to_json is a hand-rolled string (it predates Obs.Json);
-     parse it back so the bundle is one coherent JSON document. *)
-  Obs.Json.parse (Obs.Metrics.to_json (Core.Pvm.metrics pvm))
+let metrics_json pvm = Obs.Metrics.to_json (Core.Pvm.metrics pvm)
 
 let watchdog_json engine =
   let fields = [ ("blocked", Obs.Json.Str (Hw.Engine.blocked_report engine)) ] in
   let fields =
     match Hw.Engine.watchdog_metrics engine with
-    | Some m -> fields @ [ ("metrics", Obs.Json.parse (Obs.Metrics.to_json m)) ]
+    | Some m -> fields @ [ ("metrics", Obs.Metrics.to_json m) ]
     | None -> fields
   in
   Obs.Json.Obj fields

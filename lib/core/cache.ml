@@ -50,12 +50,16 @@ let has_stub_readers pvm (cache : cache) =
         §4f"]
 
 (* A hidden (zombie) cache is collectable once nothing reads it:
-   no fragment children, no mapping regions, no stub readers. *)
-let collectable pvm (cache : cache) =
-  note_structure ~write:false pvm;
+   no fragment children, no mapping regions, no stub readers.  [write]
+   is the footprint recorded: the stub-death reaper notes a write, as
+   it goes on to tear the cache down. *)
+let unread_zombie ~write pvm (cache : cache) =
+  note_structure ~write pvm;
   cache.c_alive && cache.c_zombie && cache.c_children = []
   && cache.c_mappings = []
   && not (has_stub_readers pvm cache)
+
+let collectable pvm cache = unread_zombie ~write:false pvm cache
 
 (* Detach [cache]'s fragment links to parents it no longer references;
    collect zombie history chains that become childless. *)
@@ -799,31 +803,9 @@ let is_alive (cache : cache) = cache.c_alive
 (* Stub-death reaper: a hidden history cache whose last reader was a
    per-page stub (not a fragment child) is collected when that stub
    dies.  Installed on every PVM instance at creation. *)
-let has_stub_readers pvm (cache : cache) =
-  List.exists (fun (p : page) -> p.p_cow_stubs <> []) cache.c_pages
-  || (Shard_map.fold
-        (fun (cid, _) _ acc -> acc || cid = cache.c_id)
-        pvm.stub_sources false)
-     [@chorus.noted
-       "scans the whole pending-stub table for rows keyed on this cache; \
-        key-set footprints cannot express a whole-table read — see DESIGN.md \
-        §4f"]
-
 let install_reaper pvm =
   pvm.zombie_reaper <-
     Some
       (fun cache ->
-        note_structure pvm;
-        (if Sys.getenv_opt "REAPER_DEBUG" <> None then
-           Printf.printf
-             "[reaper] cache=%d alive=%b zombie=%b children=%d mappings=%d               stub_readers=%b\n"
-             cache.c_id cache.c_alive cache.c_zombie
-             (List.length cache.c_children)
-             (List.length cache.c_mappings)
-             (has_stub_readers pvm cache));
-        if
-          cache.c_alive && cache.c_zombie && cache.c_children = []
-          && cache.c_mappings = []
-          && not (has_stub_readers pvm cache)
-        then teardown pvm cache);
+        if unread_zombie ~write:true pvm cache then teardown pvm cache);
   pvm

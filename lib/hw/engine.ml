@@ -97,7 +97,6 @@ type t = {
   classes : (int, int) Hashtbl.t; (* fibre -> non-zero affinity, pool only *)
   par : par option; (* None = the cooperative engine (the default) *)
   waiting : (int, wait_info) Hashtbl.t; (* parked fibres, by id *)
-  hearts : (int, Sim_time.t) Hashtbl.t; (* last slice start, by fibre *)
   mutable pending_wait : (string * int) option; (* next park's label/owner *)
   mutable watch : watchdog option;
 }
@@ -181,7 +180,6 @@ let create ?(tie_break = Fifo) ?domains () =
     classes = Hashtbl.create 16;
     par;
     waiting = Hashtbl.create 16;
-    hearts = Hashtbl.create 16;
     pending_wait = None;
     watch = None;
   }
@@ -663,7 +661,6 @@ let claim eng task =
   assert (task.time >= eng.now || eng.par <> None);
   if task.time > eng.now then eng.now <- task.time;
   eng.cur_fib <- task.fib;
-  if eng.watch <> None then Hashtbl.replace eng.hearts task.fib task.time;
   Obs.Flight.record_dispatch eng.flight ~fib:task.fib ~time:task.time;
   if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
   task

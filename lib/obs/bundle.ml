@@ -59,60 +59,64 @@ let to_json b : Json.t =
       ("watchdog", b.watchdog);
     ]
 
+(* A list field: absent reads as empty; a non-list, or an entry [parse]
+   rejects, is an error naming the field (and the first bad index). *)
+let list_field j name ~what parse =
+  match Json.member name j with
+  | None -> Ok []
+  | Some (Json.List l) -> (
+    let parsed = List.map parse l in
+    match List.find_index Option.is_none parsed with
+    | Some i ->
+      Error (Printf.sprintf "bundle field %S: entry %d is not %s" name i what)
+    | None -> Ok (List.filter_map Fun.id parsed))
+  | Some _ -> Error (Printf.sprintf "bundle field %S is not a list" name)
+
+let string_entry = function Json.Str s -> Some s | _ -> None
+
+let int_entry = function
+  | Json.Num f when Float.is_integer f -> Some (int_of_float f)
+  | _ -> None
+
 let of_json (j : Json.t) : (t, string) result =
+  let ( let* ) = Result.bind in
   let str name = Json.get_str (Json.member name j) in
-  let int_of f = int_of_float f in
+  let json_field name = Option.value ~default:Json.Null (Json.member name j) in
+  let json_list name =
+    Option.value ~default:[] (Json.get_list (Json.member name j))
+  in
+  let failure_str name =
+    Option.bind (Json.member "failure" j) (fun f ->
+        Json.get_str (Json.member name f))
+  in
   match str "schema" with
   | None -> Error "not a bundle: no \"schema\" field"
   | Some s when s <> schema_version ->
     Error (Printf.sprintf "unknown bundle schema %S (expected %S)" s
              schema_version)
   | Some schema -> (
-    let strings name =
-      match Json.get_list (Json.member name j) with
-      | Some l ->
-        List.filter_map (function Json.Str s -> Some s | _ -> None) l
-      | None -> []
-    in
-    let schedule =
-      match Json.get_list (Json.member "schedule" j) with
-      | Some l ->
-        List.filter_map
-          (function Json.Num f -> Some (int_of f) | _ -> None)
-          l
-      | None -> []
-    in
-    let json_field name =
-      Option.value ~default:Json.Null (Json.member name j)
-    in
-    let json_list name =
-      Option.value ~default:[] (Json.get_list (Json.member name j))
-    in
-    let failure = Json.member "failure" j in
-    let failure_str name =
-      match failure with
-      | Some f -> Json.get_str (Json.member name f)
-      | None -> None
-    in
     match (str "scenario", failure_str "kind") with
     | None, _ -> Error "bundle missing \"scenario\""
     | _, None -> Error "bundle missing \"failure.kind\""
     | Some scenario, Some kind ->
+      let* inject = list_field j "inject" ~what:"a string" string_entry in
+      let* schedule = list_field j "schedule" ~what:"an integer" int_entry in
+      let* digests = list_field j "digests" ~what:"a string" string_entry in
       Ok
         {
           schema;
           scenario;
-          inject = strings "inject";
+          inject;
           kind;
           detail = Option.value ~default:"" (failure_str "detail");
           sim_now =
             (match Json.get_num (Json.member "sim_now" j) with
-            | Some f -> int_of f
+            | Some f -> int_of_float f
             | None -> 0);
           schedule;
           flight = json_field "flight";
           state = json_list "state";
-          digests = strings "digests";
+          digests;
           violations = json_field "violations";
           metrics = json_list "metrics";
           watchdog = json_field "watchdog";

@@ -57,7 +57,10 @@ val v :
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
-(** Rejects objects whose ["schema"] is missing or unknown. *)
+(** Rejects objects whose ["schema"] is missing or unknown, and any
+    ["inject"], ["schedule"] or ["digests"] that is not a list of
+    strings, of integers and of strings respectively; the error names
+    the field and the first bad entry's index. *)
 
 val filename : t -> string
 (** Deterministic suggested basename,

@@ -73,6 +73,40 @@ let test_bundle_rejects_foreign_schema () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a schema-less document"
 
+(* A malformed list entry must be rejected, naming the field and the
+   index — never dropped or truncated, which would let a replay drive a
+   different schedule and still report success. *)
+let test_bundle_rejects_malformed_lists () =
+  let good =
+    Obs.Bundle.to_json
+      (Obs.Bundle.v ~scenario:"unit" ~inject:[ "evict-claim-late" ]
+         ~kind:"crash" ~detail:"" ~sim_now:1 ~schedule:[ 2; 3 ]
+         ~digests:[ "abc" ] ())
+  in
+  let verdict j = Result.map (fun _ -> ()) (Obs.Bundle.of_json j) in
+  Alcotest.(check (result unit string)) "well-formed" (Ok ()) (verdict good);
+  let open Obs.Json in
+  List.iter
+    (fun (field, value, error) ->
+      let j =
+        match good with
+        | Obj fs ->
+          Obj (List.map (fun (k, x) -> (k, if k = field then value else x)) fs)
+        | j -> j
+      in
+      Alcotest.(check (result unit string)) error (Error error) (verdict j))
+    [
+      ( "schedule", List [ Str "oops"; Num 2.; Num 3. ],
+        {|bundle field "schedule": entry 0 is not an integer|} );
+      ( "schedule", List [ Num 2.; Num 2.5 ],
+        {|bundle field "schedule": entry 1 is not an integer|} );
+      ( "inject", List [ Str "evict-claim-late"; Num 1. ],
+        {|bundle field "inject": entry 1 is not a string|} );
+      ( "digests", List [ Null ],
+        {|bundle field "digests": entry 0 is not a string|} );
+      ("schedule", Str "2,3", {|bundle field "schedule" is not a list|});
+    ]
+
 (* --- Capture / replay determinism ---------------------------------- *)
 
 (* Plant a race, let the explorer find it, capture the bundle, write
@@ -238,6 +272,8 @@ let () =
             test_bundle_roundtrip;
           Alcotest.test_case "rejects foreign schema" `Quick
             test_bundle_rejects_foreign_schema;
+          Alcotest.test_case "rejects malformed list entries" `Quick
+            test_bundle_rejects_malformed_lists;
         ] );
       ( "replay",
         [

@@ -5,9 +5,10 @@
    with the Table 6 cells; and the export surfaces (folded stacks,
    JSON, dropped-event accounting) must stay coherent. *)
 
-let ps = 8192
-let size = 1024 * 1024 (* the 1024 Kb / 128-page cells *)
-let pages = 128
+module Paper = Workloads.Paper
+
+let size = Paper.decomp_size (* the 1024 Kb / 128-page cells *)
+let pages = Paper.decomp_pages
 
 let run_traced f =
   let tr = Obs.Trace.create () in
@@ -17,78 +18,11 @@ let run_traced f =
   Hw.Engine.run_fn engine (fun () -> f engine);
   (Hw.Engine.now engine, Obs.Profile.of_trace tr)
 
-(* One Table-6 zero-fill cycle. *)
-let chorus_zero_fill engine =
-  let pvm = Core.Pvm.create ~frames:600 ~engine () in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm cache
+(* One Table-6 zero-fill cycle, and the whole decomposition cycle. *)
+let zero_fill impl engine =
+  Paper.zero_fill (Paper.zero_fill_machine impl engine) ~size ~pages ()
 
-(* ... followed by a Table-7 deferred-copy + COW cycle. *)
-let chorus_decomp engine =
-  chorus_zero_fill engine;
-  let pvm = Core.Pvm.create ~frames:600 ~engine () in
-  let ctx = Core.Context.create pvm in
-  let src = Core.Cache.create pvm () in
-  let src_region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-      ~offset:0
-  in
-  for p = 0 to (size / ps) - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  let copy = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy ~dst_off:0
-    ~size ();
-  let copy_region =
-    Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-      ~prot:Hw.Prot.read_write copy ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm copy_region;
-  Core.Cache.destroy pvm copy;
-  Core.Region.destroy pvm src_region;
-  Core.Cache.destroy pvm src
-
-let mach_zero_fill engine =
-  let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-  let sp = Shadow.Shadow_vm.space_create vm in
-  let e =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm e
-
-let mach_decomp engine =
-  mach_zero_fill engine;
-  let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-  let sp = Shadow.Shadow_vm.space_create vm in
-  let src =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to (size / ps) - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  let copy =
-    Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:0x4000_0000
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm copy;
-  Shadow.Shadow_vm.entry_destroy vm src
+let decomp impl engine = ignore (Paper.decomp impl engine)
 
 let check_pct ~msg ~paper_ms measured_ns =
   match measured_ns with
@@ -103,33 +37,20 @@ let check_pct ~msg ~paper_ms measured_ns =
 (* ------------------------------------------------------------------ *)
 (* The §5.3.2 decomposition, derived from charges, vs the paper. *)
 
-let test_derived_chorus () =
-  let _, prof = run_traced chorus_decomp in
+(* The Mach paper values are recomputed from its Table 6/7 cells by
+   the paper's own formulas (see Workloads.Paper.derived). *)
+let test_derived impl ~tree () =
+  let _, prof = run_traced (decomp impl) in
   let d = Obs.Profile.derive prof in
   Alcotest.(check int)
     "zero-fill faults" (2 * pages) d.Obs.Profile.zero_fill_faults;
   Alcotest.(check int) "COW faults" pages d.cow_faults;
   Alcotest.(check int) "copies" 1 d.copies;
-  check_pct ~msg:"demand-alloc" ~paper_ms:0.27 d.demand_ns;
-  check_pct ~msg:"cow" ~paper_ms:0.31 d.cow_ns;
-  check_pct ~msg:"tree-setup" ~paper_ms:0.03 d.tree_setup_ns;
-  check_pct ~msg:"protect" ~paper_ms:0.016 d.protect_ns
-
-(* Mach paper values recomputed from its Table 6/7 cells by the
-   paper's own formulas: demand = (180.8 - 1.89)/128 - bzero;
-   cow = (256.41 - 3.08)/128 - bcopy; shadow setup = 2.7 - 1.57;
-   protect = (3.08 - 2.7)/127. *)
-let test_derived_mach () =
-  let _, prof = run_traced mach_decomp in
-  let d = Obs.Profile.derive prof in
-  Alcotest.(check int)
-    "zero-fill faults" (2 * pages) d.Obs.Profile.zero_fill_faults;
-  Alcotest.(check int) "COW faults" pages d.cow_faults;
-  Alcotest.(check int) "copies" 1 d.copies;
-  check_pct ~msg:"demand-alloc" ~paper_ms:0.5277 d.demand_ns;
-  check_pct ~msg:"cow" ~paper_ms:0.5792 d.cow_ns;
-  check_pct ~msg:"shadow setup" ~paper_ms:1.13 d.tree_setup_ns;
-  check_pct ~msg:"protect" ~paper_ms:0.0030 d.protect_ns
+  let check msg name = check_pct ~msg ~paper_ms:(Paper.derived impl name) in
+  check "demand-alloc" "demand-alloc" d.demand_ns;
+  check "cow" "cow" d.cow_ns;
+  check tree "tree-setup" d.tree_setup_ns;
+  check "protect" "protect" d.protect_ns
 
 (* ------------------------------------------------------------------ *)
 (* Attribution totals: in these device-free workloads every advance of
@@ -137,27 +58,20 @@ let test_derived_mach () =
    must equal elapsed sim time exactly — and the elapsed time is the
    Table 6 (1024 Kb, 128 pg) cell, within 5% of the paper. *)
 
-let test_attribution_total_chorus () =
-  let elapsed, prof = run_traced chorus_zero_fill in
+let test_attribution_total impl ~label () =
+  let elapsed, prof = run_traced (zero_fill impl) in
   Alcotest.(check int)
     "every simulated ns attributed" elapsed prof.Obs.Profile.total_charge_ns;
   let ms = float_of_int elapsed /. 1e6 in
-  if Float.abs ((ms -. 145.9) /. 145.9) > 0.05 then
-    Alcotest.failf "Table 6 cell drifted: %.2f ms vs paper 145.9" ms
-
-let test_attribution_total_mach () =
-  let elapsed, prof = run_traced mach_zero_fill in
-  Alcotest.(check int)
-    "every simulated ns attributed" elapsed prof.Obs.Profile.total_charge_ns;
-  let ms = float_of_int elapsed /. 1e6 in
-  if Float.abs ((ms -. 180.8) /. 180.8) > 0.05 then
-    Alcotest.failf "Table 6 Mach cell drifted: %.2f ms vs paper 180.8" ms
+  let paper = Option.get (Paper.published (Paper.table6 impl) ~size ~pages) in
+  if Float.abs ((ms -. paper) /. paper) > 0.05 then
+    Alcotest.failf "Table 6 %s drifted: %.2f ms vs paper %g" label ms paper
 
 (* ------------------------------------------------------------------ *)
 (* Export surfaces. *)
 
 let test_folded_output () =
-  let _, prof = run_traced chorus_decomp in
+  let _, prof = run_traced (decomp Paper.Chorus) in
   let folded = Obs.Profile.to_folded prof in
   let lines =
     String.split_on_char '\n' folded |> List.filter (fun l -> l <> "")
@@ -192,7 +106,7 @@ let test_dropped_surfaces () =
   let engine = Hw.Engine.create () in
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
-  Hw.Engine.run_fn engine (fun () -> chorus_zero_fill engine);
+  Hw.Engine.run_fn engine (fun () -> zero_fill Paper.Chorus engine);
   Alcotest.(check bool) "ring overflowed" true (Obs.Trace.dropped tr > 0);
   let prof = Obs.Profile.of_trace tr in
   Alcotest.(check int)
@@ -220,7 +134,7 @@ let test_dropped_surfaces () =
   | None -> Alcotest.fail "no otherData.droppedEvents in Chrome export"
 
 let test_json_roundtrip () =
-  let _, prof = run_traced chorus_decomp in
+  let _, prof = run_traced (decomp Paper.Chorus) in
   let j = Obs.Profile.to_json prof in
   let reparsed = Obs.Json.parse (Obs.Json.to_string j) in
   Alcotest.(check string)
@@ -243,16 +157,16 @@ let () =
       ( "derived",
         [
           Alcotest.test_case "chorus within 5% of paper" `Quick
-            test_derived_chorus;
+            (test_derived Paper.Chorus ~tree:"tree-setup");
           Alcotest.test_case "mach within 5% of paper" `Quick
-            test_derived_mach;
+            (test_derived Paper.Mach ~tree:"shadow setup");
         ] );
       ( "attribution",
         [
           Alcotest.test_case "chorus total = sim time = Table 6 cell" `Quick
-            test_attribution_total_chorus;
+            (test_attribution_total Paper.Chorus ~label:"cell");
           Alcotest.test_case "mach total = sim time = Table 6 cell" `Quick
-            test_attribution_total_mach;
+            (test_attribution_total Paper.Mach ~label:"Mach cell");
         ] );
       ( "export",
         [

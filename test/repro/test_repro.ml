@@ -7,7 +7,8 @@
    Table 7 "0 copied / 256 Kb" cell; EXPERIMENTS.md discusses it):
    this is a shape check, not a calibration assertion. *)
 
-let ps = 8192
+module Paper = Workloads.Paper
+
 let kb n = n * 1024
 
 let sim_ms f =
@@ -23,129 +24,138 @@ let check_close name ~paper ~tolerance measured =
     Alcotest.failf "%s: measured %.2f ms vs paper %.2f ms (%.0f%% off)" name
       measured paper (dev *. 100.)
 
-(* One Table 6 cell: region of [size], touch [pages], destroy. *)
-let zero_fill_pvm ~size ~pages =
-  sim_ms (fun engine ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let cache = Core.Cache.create pvm () in
-      let region =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-          cache ~offset:0
-      in
-      for p = 0 to pages - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      (* read-only whole-state sweeps: charge nothing, so they do not
-         perturb the measured cell *)
-      Check.Sanitizer.assert_ok ~label:"table6 populated" pvm;
-      Core.Region.destroy pvm region;
-      Core.Cache.destroy pvm cache;
-      Check.Sanitizer.assert_ok ~label:"table6 torn down" pvm)
+(* read-only whole-state sweeps of a Chorus machine: charge nothing, so
+   they do not perturb the measured cell *)
+let sweep ~label = function
+  | Paper.Pvm { pvm; _ } -> Check.Sanitizer.assert_ok ~label pvm
+  | Paper.Shadow _ -> ()
 
-let zero_fill_mach ~size ~pages =
+(* One Table 6 cell: region of [size], touch [pages], destroy. *)
+let zero_fill impl ~size ~pages =
   sim_ms (fun engine ->
-      let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-      let sp = Shadow.Shadow_vm.space_create vm in
-      let entry =
-        Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-      in
-      for p = 0 to pages - 1 do
-        Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-      done;
-      Shadow.Shadow_vm.entry_destroy vm entry)
+      let m = Paper.zero_fill_machine impl engine in
+      let teardown = Paper.zero_fill m ~size ~pages in
+      sweep ~label:"table6 populated" m;
+      teardown ();
+      sweep ~label:"table6 torn down" m)
+
+let paper_cell table impl ~size ~pages =
+  Option.get (Paper.published (table impl) ~size ~pages)
 
 let test_table6 () =
   List.iter
-    (fun (size, pages, paper) ->
-      check_close
-        (Printf.sprintf "Table6 Chorus %dKb/%dpg" (size / 1024) pages)
-        ~paper ~tolerance:0.15
-        (zero_fill_pvm ~size ~pages))
+    (fun (impl, cells) ->
+      List.iter
+        (fun (size, pages) ->
+          check_close
+            (Printf.sprintf "Table6 %s %dKb/%dpg"
+               (String.capitalize_ascii (Paper.impl_name impl))
+               (size / 1024) pages)
+            ~paper:(paper_cell Paper.table6 impl ~size ~pages)
+            ~tolerance:0.15
+            (zero_fill impl ~size ~pages))
+        cells)
     [
-      (kb 8, 0, 0.350);
-      (kb 8, 1, 1.50);
-      (kb 256, 32, 36.6);
-      (kb 1024, 128, 145.9);
-    ];
-  List.iter
-    (fun (size, pages, paper) ->
-      check_close
-        (Printf.sprintf "Table6 Mach %dKb/%dpg" (size / 1024) pages)
-        ~paper ~tolerance:0.15
-        (zero_fill_mach ~size ~pages))
-    [ (kb 8, 0, 1.57); (kb 8, 1, 3.12); (kb 1024, 128, 180.8) ]
+      (Paper.Chorus, [ (kb 8, 0); (kb 8, 1); (kb 256, 32); (kb 1024, 128) ]);
+      (Paper.Mach, [ (kb 8, 0); (kb 8, 1); (kb 1024, 128) ]);
+    ]
 
 (* One Table 7 cell: source allocated outside the measurement; copy it,
    write [pages] source pages, destroy the copy. *)
 let cow_pvm ~size ~pages =
   let engine = Hw.Engine.create () in
   Hw.Engine.run_fn engine (fun () ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let src = Core.Cache.create pvm () in
-      let _r =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-          ~offset:0
-      in
-      for p = 0 to (size / ps) - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
+      let m = Paper.cow_machine Paper.Chorus engine in
+      let src = Paper.cow_source m ~size in
       let t0 = Hw.Engine.now engine in
-      let copy = Core.Cache.create pvm () in
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy
-        ~dst_off:0 ~size ();
-      let region =
-        Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-          ~prot:Hw.Prot.read_write copy ~offset:0
-      in
-      for p = 0 to pages - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      Check.Sanitizer.assert_ok ~label:"table7 diverged" pvm;
-      Core.Region.destroy pvm region;
-      Core.Cache.destroy pvm copy;
-      Check.Sanitizer.assert_ok ~label:"table7 torn down" pvm;
+      let teardown = src.Paper.cow ~pages in
+      sweep ~label:"table7 diverged" m;
+      teardown ();
+      sweep ~label:"table7 torn down" m;
       float_of_int (Hw.Engine.now engine - t0) /. 1e6)
 
 let test_table7 () =
   List.iter
-    (fun (size, pages, paper, tolerance) ->
+    (fun (size, pages, tolerance) ->
       check_close
         (Printf.sprintf "Table7 Chorus %dKb/%dpg" (size / 1024) pages)
-        ~paper ~tolerance
+        ~paper:(paper_cell Paper.table7 Paper.Chorus ~size ~pages)
+        ~tolerance
         (cow_pvm ~size ~pages))
     [
-      (kb 8, 0, 0.4, 0.15);
-      (kb 8, 1, 2.10, 0.15);
-      (kb 256, 0, 0.7, 0.40) (* documented deviation, see EXPERIMENTS.md *);
-      (kb 256, 32, 55.7, 0.15);
-      (kb 1024, 128, 221.9, 0.15);
+      (kb 8, 0, 0.15);
+      (kb 8, 1, 0.15);
+      (kb 256, 0, 0.40) (* documented deviation, see EXPERIMENTS.md *);
+      (kb 256, 32, 0.15);
+      (kb 1024, 128, 0.15);
     ]
 
 (* §5.3.2 derived quantities, straight from the formulas. *)
 let test_derived_overheads () =
-  let bzero = 0.87 and bcopy = 1.4 in
+  let z = zero_fill Paper.Chorus in
   let demand =
-    ((zero_fill_pvm ~size:(kb 1024) ~pages:128
-     -. zero_fill_pvm ~size:(kb 1024) ~pages:0)
-    /. 128.)
-    -. bzero
+    ((z ~size:(kb 1024) ~pages:128 -. z ~size:(kb 1024) ~pages:0) /. 128.)
+    -. Paper.bzero_ms
   in
-  check_close "on-demand allocation structure" ~paper:0.27 ~tolerance:0.1
-    demand;
+  check_close "on-demand allocation structure"
+    ~paper:(Paper.derived Paper.Chorus "demand-alloc")
+    ~tolerance:0.1 demand;
   let cow =
     ((cow_pvm ~size:(kb 1024) ~pages:128 -. cow_pvm ~size:(kb 1024) ~pages:0)
     /. 128.)
-    -. bcopy
+    -. Paper.bcopy_ms
   in
-  check_close "COW resolution structure" ~paper:0.31 ~tolerance:0.1 cow
+  check_close "COW resolution structure"
+    ~paper:(Paper.derived Paper.Chorus "cow")
+    ~tolerance:0.1 cow
+
+(* The committed reference report pins every cell: the measured
+   matrices match its measured_ms at the three decimals it records, and
+   the published matrices its paper_ms. *)
+let test_reference_report () =
+  let ms3 = Printf.sprintf "%.3f %.3f" in
+  let measured (table, cell, impl) =
+    List.concat_map
+      (fun size ->
+        List.filter_map
+          (fun pages ->
+            Option.map
+              (fun paper ->
+                let engine = Hw.Engine.create () in
+                ms3
+                  (Hw.Engine.run_fn engine (fun () ->
+                       cell impl engine ~size ~pages))
+                  paper)
+              (Paper.published (table impl) ~size ~pages))
+          Paper.col_pages)
+      Paper.region_sizes
+  in
+  let open Obs.Json in
+  let list f j = Option.get (get_list (member f j)) in
+  let num f j = Option.get (get_num (member f j)) in
+  let report =
+    parse (In_channel.with_open_bin "../../BENCH_pr4.json" In_channel.input_all)
+  in
+  Alcotest.(check (list string))
+    "Table 6/7 cells: measured and paper ms"
+    (List.concat_map
+       (fun t ->
+         List.map (fun c -> ms3 (num "measured_ms" c) (num "paper_ms" c))
+           (list "cells" t))
+       (list "tables" report))
+    (List.concat_map measured
+       [
+         (Paper.table6, Paper.table6_cell, Paper.Chorus);
+         (Paper.table6, Paper.table6_cell, Paper.Mach);
+         (Paper.table7, Paper.table7_cell, Paper.Chorus);
+         (Paper.table7, Paper.table7_cell, Paper.Mach);
+       ])
 
 (* Structural claims: region creation is size-independent (paper:
    "only 10%" between 1 and 128 pages of span). *)
 let test_region_create_size_independent () =
-  let small = zero_fill_pvm ~size:(kb 8) ~pages:0 in
-  let large = zero_fill_pvm ~size:(kb 1024) ~pages:0 in
+  let small = zero_fill Paper.Chorus ~size:(kb 8) ~pages:0 in
+  let large = zero_fill Paper.Chorus ~size:(kb 1024) ~pages:0 in
   Alcotest.(check bool)
     (Printf.sprintf "create/destroy roughly size-independent (%.2f vs %.2f)"
        small large)
@@ -163,5 +173,7 @@ let () =
             test_derived_overheads;
           Alcotest.test_case "region create size-independent" `Quick
             test_region_create_size_independent;
+          Alcotest.test_case "cells match BENCH_pr4.json" `Quick
+            test_reference_report;
         ] );
     ]
