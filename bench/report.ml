@@ -15,13 +15,13 @@
        "parallel": [ {workload, domains, faults, sim_ms, wall_ms,
                     speedup} ] }
 
-   /2 adds the [parallel] section ("/1" reports simply lack it;
-   diff.exe reads both).  [tables] and [derived] are the regression
-   surface diff.exe gates on; [primitives] is informational (counts
-   shift legitimately when instrumentation is added) and only produces
-   warnings; [parallel] mixes simulated time (sim_ms, speedup) with
-   machine-dependent wall-clock (wall_ms), so it is never gated at
-   all. *)
+   /2 adds the [parallel] section; the committed baseline
+   BENCH_pr4.json is a /1 report.  [tables] and [derived] are the
+   regression surface: test_repro recomputes them and pins them to the
+   baseline at the precision written here.  [primitives] is
+   informational (counts shift legitimately when instrumentation is
+   added); [parallel] mixes simulated time (sim_ms, speedup) with
+   machine-dependent wall-clock (wall_ms).  Neither is pinned. *)
 
 type cell = {
   table : string;

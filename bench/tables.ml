@@ -70,28 +70,13 @@ let prelim () =
 
 (* --- §5.3.2 derived overheads -------------------------------------- *)
 
-(* Recompute the paper's formulas from our measured matrices, for
-   both implementations; every value is also recorded in {!Report}
-   under "derived", which diff.exe gates on. *)
+(* The paper's formulas (Paper.overheads) over our measured matrices,
+   for both implementations; every value is also recorded in {!Report}
+   under "derived", which test_repro pins against BENCH_pr4.json. *)
 let derived () =
   Printf.printf "\n§5.3.2 derived overheads (measured vs paper)\n";
-  let overheads impl (cost : Hw.Cost.profile) =
-    let z size pages = zero_fill impl ~size ~pages in
-    let c size pages = cow impl ~size ~pages in
-    let bzero = ms_of_ns cost.Hw.Cost.t_bzero_page in
-    let bcopy = ms_of_ns cost.Hw.Cost.t_bcopy_page in
-    (* simple on-demand page allocation: (t(128 pages) - t(0)) / 128 - bzero *)
-    let demand = ((z (kb 1024) 128 -. z (kb 1024) 0) /. 128.) -. bzero in
-    (* per-page protection at deferred-copy time *)
-    let protect = (c (kb 1024) 0 -. c (kb 8) 0) /. 127. in
-    (* history tree (shadow object) setup *)
-    let tree = c (kb 8) 0 -. z (kb 8) 0 -. protect in
-    (* COW resolution overhead *)
-    let cow = ((c (kb 1024) 128 -. c (kb 1024) 0) /. 128.) -. bcopy in
-    let values =
-      [ ("demand-alloc", demand); ("protect", protect); ("tree-setup", tree);
-        ("cow", cow) ]
-    in
+  let overheads impl =
+    let values = Paper.overheads ~zero_fill:(zero_fill impl) ~cow:(cow impl) in
     List.iter
       (fun (name, measured) ->
         Report.add_derived ~impl:(Paper.impl_name impl) ~name ~measured
@@ -99,7 +84,7 @@ let derived () =
       values;
     fun name -> List.assoc name values
   in
-  let chorus = overheads Paper.Chorus Hw.Cost.chorus_sun360 in
+  let chorus = overheads Paper.Chorus in
   List.iter
     (fun (label, name, per, approx) ->
       Printf.printf "  %-36s %.3f ms/%s (paper %s%g)\n" (label ^ ":")
@@ -113,7 +98,7 @@ let derived () =
     ];
   (* the same formulas over the Mach baseline's matrices (paper values
      recomputed from its Tables 6/7 cells) *)
-  let v = overheads Paper.Mach Hw.Cost.mach_sun360 in
+  let v = overheads Paper.Mach in
   let paper = Paper.derived Paper.Mach in
   Printf.printf
     "  Mach: demand %.3f (%.3f)  protect %.4f (%.3f)  shadow setup %.3f \
@@ -125,8 +110,8 @@ let derived () =
 
 (* The §5.3.2 decomposition cycle per implementation; the always-on
    metrics registry supplies the per-primitive counts and simulated
-   time.  Recorded into {!Report} under "primitives" (informational:
-   diff.exe warns on drift but does not fail). *)
+   time.  Recorded into {!Report} under "primitives" (informational,
+   not pinned). *)
 let primitives () =
   let report impl =
     in_sim (fun engine ->

@@ -11,7 +11,6 @@
      stats SCENARIO     print the metrics-registry report of a scenario
      check SCENARIO     sanitizer + schedule-perturbation harness
      crossval           sequential-vs-parallel digest cross-validation
-     bench              parallel fault-throughput microbenchmark
      explore SCENARIO   DPOR schedule exploration
      profile SCENARIO   cost-attribution profile
      replay BUNDLE      deterministically re-execute a crash bundle
@@ -21,7 +20,7 @@
    blocking-discipline breach, the watchdog or an uncaught exception
    kills a run; replay re-drives the bundle's recorded schedule
    decision-for-decision and asserts the same failure reappears.  The
-   trace/profile/bench paths accept --flight to dump the flight
+   trace and profile paths accept --flight to dump the flight
    recorder's ring for the same runs.
 
    The full evaluation lives in bench/main.exe; the walkthroughs in
@@ -31,6 +30,15 @@ open Cmdliner
 open Workloads
 
 let ps = 8192
+
+(* Every integer on the command line passes through here: a value below
+   [min] is a usage error (exit 2) naming the argument. *)
+let at_least ~cmd ~arg min n =
+  if n < min then begin
+    Printf.eprintf "chorus %s: %s must be >= %d\n" cmd arg min;
+    exit 2
+  end;
+  n
 
 let in_sim f =
   let engine = Hw.Engine.create () in
@@ -56,6 +64,7 @@ let fig3 () =
       Format.printf "%a@." Core.Pvm.pp_history_tree src)
 
 let fork n =
+  let n = at_least ~cmd:"fork" ~arg:"N" 0 n in
   in_sim (fun engine ->
       let site, m, shell =
         Scenarios.fork_shell engine ~register:ignore
@@ -78,6 +87,7 @@ let fork n =
             (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation) e)))
 
 let dsm n =
+  let n = at_least ~cmd:"dsm" ~arg:"N" 0 n in
   in_sim (fun engine ->
       let seg, a, b = Scenarios.dsm_sites engine ~register:ignore in
       let t0 = Hw.Engine.now engine in
@@ -143,14 +153,8 @@ let dump_flight ~cmd fl file =
     (Obs.Flight.decision_count fl)
     (Obs.Flight.dropped fl)
 
-let check_domains ~cmd = function
-  | Some d when d < 1 ->
-    Printf.eprintf "chorus %s: --domains must be >= 1\n" cmd;
-    exit 2
-  | d -> d
-
 let trace scenario out flight_out domains =
-  let domains = check_domains ~cmd:"trace" domains in
+  let domains = Option.map (at_least ~cmd:"trace" ~arg:"--domains" 1) domains in
   if flight_out <> None && domains <> None then begin
     Printf.eprintf
       "chorus trace: --flight requires the sequential engine; drop --domains \
@@ -192,7 +196,7 @@ let trace scenario out flight_out domains =
   | _ -> ()
 
 let stats scenario json_out domains =
-  let domains = check_domains ~cmd:"stats" domains in
+  let domains = Option.map (at_least ~cmd:"stats" ~arg:"--domains" 1) domains in
   let scen = find_scenario scenario in
   let engine = Hw.Engine.create ?domains () in
   let tr = Obs.Trace.create () in
@@ -413,6 +417,7 @@ let content_digest engine pvms =
       Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let check scenario seeds every_event bundle_dir =
+  let seeds = at_least ~cmd:"check" ~arg:"--seeds" 0 seeds in
   let scen = find_scenario scenario in
   let deterministic =
     match scen.Check.Explore.oracle with
@@ -553,6 +558,7 @@ let check_order_witnesses ~label =
    genuinely concurrent affinity-classed workers whose final state is
    deterministic by construction. *)
 let crossval domains =
+  let domains = at_least ~cmd:"crossval" ~arg:"--domains" 1 domains in
   Obs.Lockstat.enable_witnessing ();
   let outcomes =
     List.map (Check.Crossval.run_pair ~domains) Scenarios.workloads
@@ -574,97 +580,6 @@ let crossval domains =
     exit 1
   end
 
-(* chorus bench: the contended many-context fault-throughput
-   microbenchmark, standalone.  Runs Crossval's storm on the
-   sequential engine (the digest oracle), on the 1-domain pool (the
-   uniprocessor model — the throughput baseline) and on the requested
-   domain count, and reports faults per simulated second.  The full
-   sweep with wall-clock columns lives in the bench harness
-   (bench/main.exe parallel). *)
-let bench domains workers pages rounds with_stats =
-  if domains < 1 then begin
-    Printf.eprintf "chorus bench: --domains must be >= 1\n";
-    exit 2
-  end;
-  (* Wall-clock wait/hold columns of the contention report; counts are
-     maintained regardless.  Timing never touches the simulated clock,
-     so the digest checks below are unaffected. *)
-  if with_stats then
-    Obs.Lockstat.enable_timing ~clock:(fun () ->
-        int_of_float (Unix.gettimeofday () *. 1e9));
-  Obs.Lockstat.enable_witnessing ();
-  let scen = Check.Crossval.storm ~workers ~pages ~rounds () in
-  let run_once d =
-    let engine =
-      Hw.Engine.create ?domains:(if d = 0 then None else Some d) ()
-    in
-    let pvms =
-      Hw.Engine.run_fn engine (fun () -> Check.Explore.start engine scen)
-    in
-    let faults =
-      List.fold_left
-        (fun acc pvm -> acc + (Core.Pvm.stats pvm).Core.Types.n_faults)
-        0 pvms
-    in
-    let digest = String.concat "+" (List.map Core.Inspect.digest pvms) in
-    (faults, Hw.Engine.now engine, digest, engine, pvms)
-  in
-  Printf.printf
-    "chorus bench: storm %d workers x %d pages x %d rounds, %d domain(s)\n"
-    workers pages rounds domains;
-  let _, _, seq_digest, _, _ = run_once 0 in
-  let uni_faults, uni_sim, uni_digest, _, _ = run_once 1 in
-  let faults, sim, digest, engine, pvms = run_once domains in
-  let tp f s = float_of_int f /. Hw.Sim_time.to_ms_float s *. 1e3 in
-  Printf.printf "  1 domain : %7d faults in %10.1f sim ms = %8.0f faults/sim-s\n"
-    uni_faults
-    (Hw.Sim_time.to_ms_float uni_sim)
-    (tp uni_faults uni_sim);
-  Printf.printf
-    "  %d domains: %7d faults in %10.1f sim ms = %8.0f faults/sim-s \
-     (%.2fx the uniprocessor)\n"
-    domains faults
-    (Hw.Sim_time.to_ms_float sim)
-    (tp faults sim)
-    (tp faults sim /. tp uni_faults uni_sim);
-  if with_stats then begin
-    let makespan = Hw.Engine.now engine in
-    Format.printf "@.%a@."
-      (fun ppf () ->
-        Obs.Profile.pp_utilization ppf ~busy:(Hw.Engine.cpu_busy engine)
-          ~makespan)
-      ();
-    let snaps =
-      Hw.Engine.pool_lock_stats engine
-      @ List.concat_map Core.Pvm.lock_stats pvms
-    in
-    Format.printf "%a@." Obs.Profile.pp_contention
-      (Obs.Profile.contention snaps);
-    (* Hot-shard attribution: the summed gmap counters hide skew. *)
-    List.iter
-      (fun pvm ->
-        let gm = pvm.Core.Types.gmap in
-        let probes = Core.Shard_map.probes_per_shard gm in
-        let waits = Core.Shard_map.lock_waits_per_shard gm in
-        Format.printf "@[<v>gmap shards (probes / lock waits):@,";
-        Array.iteri
-          (fun i p ->
-            Format.printf "  shard%-3d %10d %10d@," i p waits.(i))
-          probes;
-        Format.printf "@]@.")
-      pvms
-  end;
-  if
-    (not (String.equal digest seq_digest))
-    || not (String.equal uni_digest seq_digest)
-  then begin
-    Printf.eprintf
-      "chorus bench: parallel digest diverged from the sequential oracle\n";
-    exit 1
-  end;
-  Printf.printf "  digests match the sequential oracle\n";
-  check_order_witnesses ~label:"chorus bench"
-
 (* chorus explore SCENARIO: systematic schedule exploration with the
    Check.Explore DPOR model checker.  [contend] and [pressure] run
    Model programs through the full PVM under memory pressure and check
@@ -674,6 +589,10 @@ let bench domains workers pages rounds with_stats =
 
 let explore scenario bound max_schedules show_stats schedule_out inject
     bundle_dir =
+  let bound = Option.map (at_least ~cmd:"explore" ~arg:"--bound" 0) bound in
+  let max_schedules =
+    Option.map (at_least ~cmd:"explore" ~arg:"--max-schedules" 1) max_schedules
+  in
   let scen =
     find_scenario (if scenario = "contend" then "contend-model" else scenario)
   in
@@ -892,39 +811,6 @@ let cmds =
             value & opt int 4
             & info [ "domains" ] ~docv:"N"
                 ~doc:"worker-domain count for the parallel run (>= 1)"));
-    Cmd.v
-      (Cmd.info "bench"
-         ~doc:
-           "run the contended many-context fault storm on the \
-            domain-parallel engine and report fault throughput in \
-            simulated time against the 1-domain uniprocessor model \
-            (digests are checked against the sequential oracle; exit 1 \
-            on divergence)")
-      Term.(
-        const bench
-        $ Arg.(
-            value & opt int 4
-            & info [ "domains" ] ~docv:"N"
-                ~doc:"simulated CPU / worker-domain count (>= 1)")
-        $ Arg.(
-            value & opt int 16
-            & info [ "workers" ] ~docv:"N" ~doc:"faulting contexts")
-        $ Arg.(
-            value & opt int 64
-            & info [ "pages" ] ~docv:"N" ~doc:"pages per context")
-        $ Arg.(
-            value & opt int 2
-            & info [ "rounds" ] ~docv:"N" ~doc:"passes over each working set")
-        $ Arg.(
-            value & flag
-            & info [ "stats" ]
-                ~doc:
-                  "after the parallel run, print the per-CPU utilization \
-                   table (busy/idle per simulated CPU against the \
-                   makespan, parallel efficiency), the lock-contention \
-                   tree (engine pool, per-PVM mm, per-shard gmap, with \
-                   wall-clock wait/hold times) and the per-shard hot-shard \
-                   attribution"));
     Cmd.v
       (Cmd.info "explore"
          ~doc:

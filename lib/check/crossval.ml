@@ -90,6 +90,9 @@ let run_on ?(domains = 0) (s : Explore.scenario) =
   String.concat "+" (List.map Core.Inspect.digest pvms)
 
 let run_pair ?(domains = 4) (s : Explore.scenario) =
+  (* at 0 domains the "parallel" run is the sequential engine again,
+     and the comparison would pass by construction *)
+  if domains < 1 then invalid_arg "Crossval.run_pair: domains < 1";
   let o_seq = run_on ~domains:0 s in
   let o_par = run_on ~domains s in
   {

@@ -54,7 +54,7 @@ val run_on : ?domains:int -> Explore.scenario -> string
 
 val run_pair : ?domains:int -> Explore.scenario -> outcome
 (** Run the scenario on the sequential engine, then again from scratch
-    on a parallel engine with [domains] workers (default 4), and
-    compare digests. *)
+    on a parallel engine with [domains] workers (default 4, at least 1;
+    [Invalid_argument] otherwise), and compare digests. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -227,6 +227,9 @@ let execute ~every_event ~max_steps eng (scenario : scenario) =
 
 let run ?bound ?max_schedules ?(max_steps = 200_000) (scenario : scenario) :
     result =
+  (match max_schedules with
+  | Some n when n < 1 -> invalid_arg "Explore.run: max_schedules < 1"
+  | _ -> ());
   let exhaustive = bound = None in
   let stats =
     {

@@ -127,7 +127,8 @@ val run :
     (switches away from a still-ready fibre) — the two prunings are
     not combined because sleep sets are unsound under a preemption
     bound.  [max_schedules] caps executed runs (sets
-    [exhausted = false] when hit); [max_steps] (default 200_000)
+    [exhausted = false] when hit) and must be at least 1
+    ([Invalid_argument] otherwise); [max_steps] (default 200_000)
     bounds one schedule's engine events. *)
 
 val replay :

@@ -104,8 +104,8 @@ let[@chorus.noted
 
 let reset_stats pvm = Types.reset_stats pvm.stats
 
-(* Every instrumented lock owned by this PVM, for the contention
-   report: the mm lock and each shard lock of the two sharded maps.
+(* Every instrumented lock owned by this PVM, for contention
+   reports: the mm lock and each shard lock of the two sharded maps.
    The engine pool lock is the engine's
    ({!Hw.Engine.pool_lock_stats}), so several PVMs sharing one engine
    don't each re-report it. *)

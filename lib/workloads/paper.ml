@@ -188,3 +188,25 @@ let decomp impl engine =
   src.cow ~pages:decomp_pages ();
   src.destroy ();
   m
+
+(* --- §5.3.2 derived overheads -------------------------------------- *)
+
+let overheads ~zero_fill:z ~cow:c =
+  (* simple on-demand page allocation: (t(128 pages) - t(0)) / 128 - bzero *)
+  let demand =
+    ((z ~size:(kb 1024) ~pages:128 -. z ~size:(kb 1024) ~pages:0) /. 128.)
+    -. bzero_ms
+  in
+  (* per-page protection at deferred-copy time *)
+  let protect =
+    (c ~size:(kb 1024) ~pages:0 -. c ~size:(kb 8) ~pages:0) /. 127.
+  in
+  (* history tree (shadow object) setup *)
+  let tree = c ~size:(kb 8) ~pages:0 -. z ~size:(kb 8) ~pages:0 -. protect in
+  (* COW resolution overhead *)
+  let cow =
+    ((c ~size:(kb 1024) ~pages:128 -. c ~size:(kb 1024) ~pages:0) /. 128.)
+    -. bcopy_ms
+  in
+  [ ("demand-alloc", demand); ("protect", protect); ("tree-setup", tree);
+    ("cow", cow) ]

@@ -37,6 +37,14 @@ val derived : impl -> string -> float
     or ["cow"].  The Mach values are the paper's formulas applied to
     its Mach Table 6/7 cells. *)
 
+val overheads :
+  zero_fill:(size:int -> pages:int -> float) ->
+  cow:(size:int -> pages:int -> float) ->
+  (string * float) list
+(** The paper's §5.3.2 formulas over measured Table 6 ([zero_fill])
+    and Table 7 ([cow]) cells in ms, giving ["demand-alloc"],
+    ["protect"], ["tree-setup"] and ["cow"] in that order. *)
+
 type machine =
   | Pvm of { pvm : Core.Types.pvm; ctx : Core.Types.context }
   | Shadow of { vm : Shadow.Shadow_vm.t; sp : Shadow.Shadow_vm.space }

@@ -246,6 +246,15 @@ let test_crossval_storm_matches () =
         true o.Check.Crossval.o_ok)
     [ 1; 2; 4 ]
 
+(* At 0 domains both runs are sequential and would match by
+   construction. *)
+let test_crossval_zero_domains_rejected () =
+  Alcotest.check_raises "domains:0"
+    (Invalid_argument "Crossval.run_pair: domains < 1") (fun () ->
+      ignore
+        (Check.Crossval.run_pair ~domains:0
+           (Check.Crossval.storm ~workers:1 ~pages:1 ~rounds:1 ())))
+
 let test_crossval_shards_invisible () =
   let d1 =
     Check.Crossval.run_on
@@ -309,5 +318,7 @@ let () =
             test_crossval_storm_matches;
           Alcotest.test_case "shard count invisible" `Quick
             test_crossval_shards_invisible;
+          Alcotest.test_case "zero domains rejected" `Quick
+            test_crossval_zero_domains_rejected;
         ] );
     ]

@@ -213,6 +213,12 @@ let test_preemption_bound_modes () =
   Alcotest.(check bool) "bound 2: sees both outcomes" true
     (r2.Check.Explore.r_stats.Check.Explore.distinct_outcomes >= 2)
 
+(* A zero budget would still run one schedule and report it. *)
+let test_zero_budget_rejected () =
+  Alcotest.check_raises "max_schedules:0"
+    (Invalid_argument "Explore.run: max_schedules < 1") (fun () ->
+      ignore (Check.Explore.run ~max_schedules:0 (toy ~conflict:true)))
+
 (* --- full-PVM programs under the refinement oracle ---------------- *)
 
 let test_racing_writers_serializable () =
@@ -319,6 +325,8 @@ let () =
             test_dpor_explores_racing_fibres;
           Alcotest.test_case "preemption bound modes" `Quick
             test_preemption_bound_modes;
+          Alcotest.test_case "zero budget rejected" `Quick
+            test_zero_budget_rejected;
           Alcotest.test_case "racing writers serializable" `Quick
             test_racing_writers_serializable;
         ] );

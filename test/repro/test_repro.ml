@@ -90,49 +90,57 @@ let test_table7 () =
       (kb 1024, 128, 0.15);
     ]
 
-(* §5.3.2 derived quantities, straight from the formulas. *)
+(* §5.3.2 derived quantities, from the paper's formulas over the swept
+   cycles. *)
 let test_derived_overheads () =
-  let z = zero_fill Paper.Chorus in
-  let demand =
-    ((z ~size:(kb 1024) ~pages:128 -. z ~size:(kb 1024) ~pages:0) /. 128.)
-    -. Paper.bzero_ms
+  let measured =
+    Paper.overheads ~zero_fill:(zero_fill Paper.Chorus) ~cow:cow_pvm
   in
-  check_close "on-demand allocation structure"
-    ~paper:(Paper.derived Paper.Chorus "demand-alloc")
-    ~tolerance:0.1 demand;
-  let cow =
-    ((cow_pvm ~size:(kb 1024) ~pages:128 -. cow_pvm ~size:(kb 1024) ~pages:0)
-    /. 128.)
-    -. Paper.bcopy_ms
-  in
-  check_close "COW resolution structure"
-    ~paper:(Paper.derived Paper.Chorus "cow")
-    ~tolerance:0.1 cow
+  List.iter
+    (fun (label, name) ->
+      check_close label
+        ~paper:(Paper.derived Paper.Chorus name)
+        ~tolerance:0.1 (List.assoc name measured))
+    [
+      ("on-demand allocation structure", "demand-alloc");
+      ("COW resolution structure", "cow");
+    ]
 
-(* The committed reference report pins every cell: the measured
-   matrices match its measured_ms at the three decimals it records, and
-   the published matrices its paper_ms. *)
+(* The committed reference report pins every cell and every derived
+   overhead: the measured matrices match its measured_ms at the three
+   decimals it records, the published matrices its paper_ms, and the
+   §5.3.2 formulas over the measured cells its "derived" entries at
+   four decimals. *)
 let test_reference_report () =
   let ms3 = Printf.sprintf "%.3f %.3f" in
+  let cell_ms cell impl ~size ~pages =
+    let engine = Hw.Engine.create () in
+    Hw.Engine.run_fn engine (fun () -> cell impl engine ~size ~pages)
+  in
   let measured (table, cell, impl) =
     List.concat_map
       (fun size ->
         List.filter_map
           (fun pages ->
             Option.map
-              (fun paper ->
-                let engine = Hw.Engine.create () in
-                ms3
-                  (Hw.Engine.run_fn engine (fun () ->
-                       cell impl engine ~size ~pages))
-                  paper)
+              (fun paper -> ms3 (cell_ms cell impl ~size ~pages) paper)
               (Paper.published (table impl) ~size ~pages))
           Paper.col_pages)
       Paper.region_sizes
   in
+  let derived impl =
+    List.map
+      (fun (name, ms) ->
+        Printf.sprintf "%s %s %.4f %.4f" (Paper.impl_name impl) name ms
+          (Paper.derived impl name))
+      (Paper.overheads
+         ~zero_fill:(cell_ms Paper.table6_cell impl)
+         ~cow:(cell_ms Paper.table7_cell impl))
+  in
   let open Obs.Json in
   let list f j = Option.get (get_list (member f j)) in
   let num f j = Option.get (get_num (member f j)) in
+  let str f j = Option.get (get_str (member f j)) in
   let report =
     parse (In_channel.with_open_bin "../../BENCH_pr4.json" In_channel.input_all)
   in
@@ -149,7 +157,15 @@ let test_reference_report () =
          (Paper.table6, Paper.table6_cell, Paper.Mach);
          (Paper.table7, Paper.table7_cell, Paper.Chorus);
          (Paper.table7, Paper.table7_cell, Paper.Mach);
-       ])
+       ]);
+  Alcotest.(check (list string))
+    "§5.3.2 derived: measured and paper ms"
+    (List.map
+       (fun d ->
+         Printf.sprintf "%s %s %.4f %.4f" (str "impl" d) (str "name" d)
+           (num "measured_ms" d) (num "paper_ms" d))
+       (list "derived" report))
+    (derived Paper.Chorus @ derived Paper.Mach)
 
 (* Structural claims: region creation is size-independent (paper:
    "only 10%" between 1 and 128 pages of span). *)
